@@ -20,6 +20,7 @@
 
 #include "common/clock.h"
 #include "common/metrics.h"
+#include "common/strings.h"
 #include "db/database.h"
 #include "eval/incremental.h"
 #include "json_out.h"
@@ -106,11 +107,6 @@ int RunSmoke(const std::string& metrics_out) {
   engine.SetMetrics(&metrics);
   // A small threshold so the policy must engage many times within the run.
   engine.SetCollectThreshold(256);
-  // §5 query history with a short retention window: the retained-bytes gate
-  // below checks that trimming keeps the aux store bounded (deep
-  // EstimateBytes, string payloads included).
-  engine.SetQueryHistory(true);
-  engine.SetQueryHistoryRetention(64);
 
   if (!database.CreateTable("stock", db::Schema({{"name", ValueType::kString},
                                                  {"price", ValueType::kInt64}}))
@@ -158,43 +154,25 @@ int RunSmoke(const std::string& metrics_out) {
   // early-run state, and the collection policy must actually have fired.
   bool bounded = max_live <= 2 * max_live_first_quarter + 32;
   bool collected = collections > 0;
-  // Retained-bytes gate: the query history must have recorded, and retention
-  // trimming must keep its deep footprint far below the unbounded size
-  // (kStates intervals would be ~100 KiB; the 64-tick window is a few KiB).
-  size_t history_bytes = engine.QueryHistoryBytes();
-  bool history_bounded = history_bytes > 0 && history_bytes <= 32 * 1024;
 
   std::string json = metrics.ToJson();
-  std::printf(
-      "{\n  \"benchmark\": \"bounded_state_smoke\",\n"
-      "  \"states\": %zu,\n  \"max_live_nodes\": %zu,\n"
-      "  \"max_live_nodes_first_quarter\": %zu,\n  \"max_store_nodes\": %zu,\n"
-      "  \"collections\": %llu,\n  \"bounded\": %s,\n  \"collected\": %s,\n"
-      "  \"query_history_bytes\": %zu,\n  \"history_bounded\": %s,\n"
-      "  \"metrics\": %s\n}\n",
-      kStates, max_live, max_live_first_quarter, max_store,
-      static_cast<unsigned long long>(collections), bounded ? "true" : "false",
-      collected ? "true" : "false", history_bytes,
-      history_bounded ? "true" : "false", json.c_str());
+  std::string doc = StrCat(
+      "{\n  \"benchmark\": \"bounded_state_smoke\",\n  \"states\": ", kStates,
+      ",\n  \"max_live_nodes\": ", max_live,
+      ",\n  \"max_live_nodes_first_quarter\": ", max_live_first_quarter,
+      ",\n  \"max_store_nodes\": ", max_store,
+      ",\n  \"collections\": ", collections,
+      ",\n  \"bounded\": ", bounded ? "true" : "false",
+      ",\n  \"collected\": ", collected ? "true" : "false",
+      ",\n  \"metrics\": ", json, "\n}\n");
+  std::fputs(doc.c_str(), stdout);
   if (!metrics_out.empty()) {
     std::FILE* f = std::fopen(metrics_out.c_str(), "w");
     if (f == nullptr) {
       std::fprintf(stderr, "cannot open %s\n", metrics_out.c_str());
       return 2;
     }
-    std::fprintf(
-        f,
-        "{\n  \"benchmark\": \"bounded_state_smoke\",\n"
-        "  \"states\": %zu,\n  \"max_live_nodes\": %zu,\n"
-        "  \"max_live_nodes_first_quarter\": %zu,\n"
-        "  \"max_store_nodes\": %zu,\n  \"collections\": %llu,\n"
-        "  \"bounded\": %s,\n  \"collected\": %s,\n"
-        "  \"query_history_bytes\": %zu,\n  \"history_bounded\": %s,\n"
-        "  \"metrics\": %s\n}\n",
-        kStates, max_live, max_live_first_quarter, max_store,
-        static_cast<unsigned long long>(collections),
-        bounded ? "true" : "false", collected ? "true" : "false",
-        history_bytes, history_bounded ? "true" : "false", json.c_str());
+    std::fputs(doc.c_str(), f);
     std::fclose(f);
   }
   if (!bounded) {
@@ -206,12 +184,6 @@ int RunSmoke(const std::string& metrics_out) {
   }
   if (!collected) {
     std::fprintf(stderr, "FAIL: the collection policy never engaged\n");
-    return 1;
-  }
-  if (!history_bounded) {
-    std::fprintf(stderr,
-                 "FAIL: query-history retained bytes out of bounds (%zu)\n",
-                 history_bytes);
     return 1;
   }
   return 0;

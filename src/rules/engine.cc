@@ -106,7 +106,6 @@ void RuleEngine::SetMetrics(Metrics* metrics) {
   ins_.query_evals = &metrics_->counter("query.evals");
   ins_.query_memo_hits = &metrics_->counter("query.memo_hits");
   ins_.snapshot_layout_hits = &metrics_->counter("query.snapshot_layout_hits");
-  ins_.query_history_records = &metrics_->counter("aux.query_history.records");
   ins_.gather_ns = &metrics_->histogram("engine.gather_ns");
   ins_.step_ns = &metrics_->histogram("engine.step_ns");
   ins_.merge_ns = &metrics_->histogram("engine.merge_ns");
@@ -179,24 +178,6 @@ void RuleEngine::RefreshDerivedMetrics(Metrics& m) {
   m.gauge("evaluator.subst_cache_hits").Set(static_cast<int64_t>(subst_hits));
   m.gauge("evaluator.subst_cache_misses")
       .Set(static_cast<int64_t>(subst_misses));
-  if (query_history_enabled_ || !query_history_.empty()) {
-    size_t intervals = 0, dict = 0;
-    uint64_t trimmed = 0, probes = 0;
-    for (const auto& [spec, series] : query_history_) {
-      intervals += series.num_intervals();
-      dict += series.dict_size();
-      trimmed += series.intervals_trimmed();
-      probes += series.asof_probes();
-    }
-    m.gauge("aux.query_history.series")
-        .Set(static_cast<int64_t>(query_history_.size()));
-    m.gauge("aux.query_history.intervals").Set(static_cast<int64_t>(intervals));
-    m.gauge("aux.query_history.dict").Set(static_cast<int64_t>(dict));
-    m.gauge("aux.query_history.trimmed").Set(static_cast<int64_t>(trimmed));
-    m.gauge("aux.query_history.asof_probes").Set(static_cast<int64_t>(probes));
-    m.gauge("aux.query_history.bytes")
-        .Set(static_cast<int64_t>(QueryHistoryBytes()));
-  }
 }
 
 // ---- Firing-provenance tracing ----------------------------------------------
@@ -204,8 +185,8 @@ void RuleEngine::RefreshDerivedMetrics(Metrics& m) {
 json::Json RuleEngine::MakeUpdateRecord(const Rule& rule,
                                         const Instance& instance,
                                         const ptl::StateSnapshot& snapshot,
-                                        uint64_t step_no, bool satisfied,
-                                        bool was_satisfied, bool fired) {
+                                        bool satisfied, bool was_satisfied,
+                                        bool fired) {
   json::Json rec = json::Json::Object();
   rec.Set("kind", json::Json::Str("update"));
   rec.Set("rule", json::Json::Str(rule.name));
@@ -216,7 +197,7 @@ json::Json RuleEngine::MakeUpdateRecord(const Rule& rule,
   // order, which is what lets TraceReplay line the recorded values back up.
   rec.Set("condition",
           json::Json::Str(instance.ev.analysis().root->ToString()));
-  rec.Set("step", json::Json::UInt(step_no));
+  rec.Set("step", json::Json::UInt(instance.ev.steps()));
   rec.Set("seq", json::Json::Int(static_cast<int64_t>(snapshot.seq)));
   rec.Set("time", json::Json::Int(snapshot.time));
   rec.Set("events", EncodeSnapshotEvents(snapshot));
@@ -755,88 +736,6 @@ Result<ptl::StateSnapshot> RuleEngine::BuildSnapshot(
   return snapshot;
 }
 
-void RuleEngine::RecordQueryHistory(Timestamp t, const QueryMemo& memo) {
-  for (const auto& [spec, value] : memo.values) {
-    eval::ScalarSeries& series = query_history_[spec];
-    Status s = series.Record(t, value);
-    if (!s.ok()) {
-      // Out-of-order state times (valid-time retroactive replay) cannot be
-      // appended to an interval history; skip rather than poison the pass.
-      continue;
-    }
-    ++stats_.query_history_records;
-    MetricAdd(ins_.query_history_records);
-  }
-  if (query_history_retention_ > 0 && t >= query_history_retention_) {
-    const Timestamp horizon = t - query_history_retention_;
-    for (auto& [spec, series] : query_history_) series.TrimBefore(horizon);
-  }
-}
-
-Result<Value> RuleEngine::QueryValueAsOf(const ptl::QuerySpec& spec,
-                                         Timestamp t) const {
-  auto it = query_history_.find(spec);
-  if (it == query_history_.end()) {
-    return Status::NotFound(
-        StrCat("no recorded history for query ", spec.ToString(),
-               query_history_enabled_
-                   ? ""
-                   : " (query history is disabled; SetQueryHistory(true))"));
-  }
-  return it->second.AsOf(t);
-}
-
-Status RuleEngine::GatherQueryValuesAsOf(const ptl::QuerySpec& spec,
-                                         const std::vector<Timestamp>& ts,
-                                         std::vector<Value>* out) const {
-  auto it = query_history_.find(spec);
-  if (it == query_history_.end()) {
-    return Status::NotFound(
-        StrCat("no recorded history for query ", spec.ToString()));
-  }
-  return it->second.GatherAsOf(ts, out);
-}
-
-std::vector<std::string> RuleEngine::QueryHistoryKeys() const {
-  std::vector<std::string> keys;
-  keys.reserve(query_history_.size());
-  for (const auto& [spec, series] : query_history_) {
-    keys.push_back(spec.ToString());
-  }
-  std::sort(keys.begin(), keys.end());
-  return keys;
-}
-
-size_t RuleEngine::QueryHistoryBytes() const {
-  size_t total = 0;
-  for (const auto& [spec, series] : query_history_) {
-    total += series.EstimateBytes();
-  }
-  return total;
-}
-
-Result<bool> RuleEngine::StepInstance(Rule* rule, Instance* instance,
-                                      const event::SystemState& state,
-                                      bool allow_collect) {
-  (void)rule;
-  if (instance->last_seq == state.seq) {
-    // Already advanced over this state (hypothetical IC check at commit).
-    return instance->ev.last_fired();
-  }
-  PTLDB_ASSIGN_OR_RETURN(ptl::StateSnapshot snapshot,
-                         BuildSnapshot(*instance, state));
-  PTLDB_ASSIGN_OR_RETURN(bool fired, instance->ev.Step(snapshot));
-  instance->last_seq = state.seq;
-  ++stats_.rule_steps;
-  MetricAdd(ins_.rule_steps);
-  // Collection invalidates checkpoints, so the hypothetical IC path defers it.
-  if (allow_collect && instance->ev.MaybeCollect(collect_threshold_)) {
-    ++stats_.collections;
-    MetricAdd(ins_.collections);
-  }
-  return fired;
-}
-
 Result<RuleEngine::StepTask> RuleEngine::GatherStepTask(
     Rule* rule, Instance* instance, const event::SystemState& state,
     bool allow_collect, QueryMemo* memo) {
@@ -848,6 +747,8 @@ Result<RuleEngine::StepTask> RuleEngine::GatherStepTask(
     // Already advanced over this state (hypothetical IC check at commit);
     // no snapshot needed, the outputs are the evaluator's current verdict.
     task.resolved = true;
+    task.snapshot.seq = state.seq;
+    task.snapshot.time = state.time;
     task.fired = instance->ev.last_fired();
     task.was_satisfied = task.fired && instance->ev.steps() > 0;
     // This is the only path a constraint's evaluator routinely takes after
@@ -864,10 +765,10 @@ Result<RuleEngine::StepTask> RuleEngine::GatherStepTask(
   return task;
 }
 
-void RuleEngine::RunStepTasks(std::vector<StepTask>* tasks) {
+void RuleEngine::RunStepTasks(std::span<StepTask> tasks) {
   const bool tracing = trace_ != nullptr && trace_->enabled();
   auto run_one = [this, tasks, tracing](size_t i) {
-    StepTask& t = (*tasks)[i];
+    StepTask& t = tasks[i];
     if (t.resolved) return;
     eval::IncrementalEvaluator& ev = t.instance->ev;
     trace::ScopedSpan step_span(
@@ -893,13 +794,69 @@ void RuleEngine::RunStepTasks(std::vector<StepTask>* tasks) {
       t.collected = true;
     }
   };
-  if (pool_ != nullptr && tasks->size() > 1) {
+  if (pool_ != nullptr && tasks.size() > 1) {
     ++stats_.parallel_dispatches;
     MetricAdd(ins_.parallel_dispatches);
-    pool_->ParallelFor(tasks->size(), run_one);
+    pool_->ParallelFor(tasks.size(), run_one);
   } else {
-    for (size_t i = 0; i < tasks->size(); ++i) run_one(i);
+    for (size_t i = 0; i < tasks.size(); ++i) run_one(i);
   }
+}
+
+bool RuleEngine::MergeStepTask(StepTask& task,
+                               std::vector<PendingAction>* pending) {
+  if (task.stepped) {
+    ++stats_.rule_steps;
+    MetricAdd(ins_.rule_steps);
+  }
+  if (task.collected) {
+    ++stats_.collections;
+    MetricAdd(ins_.collections);
+  }
+  if (!task.status.ok()) {
+    ReportError(std::move(task.status));
+    return false;
+  }
+  Rule* rule = task.rule;
+  const bool run_action =
+      task.fired && (rule->options.level_triggered || !task.was_satisfied);
+  const bool acts = run_action && !rule->is_ic && rule->action != nullptr;
+  if (task.stepped && !rule->is_system && trace_ != nullptr &&
+      trace_->enabled()) {
+    // The evaluator has not stepped since this task, so it still holds this
+    // state's step count and witness anchors. System rules are skipped:
+    // their generated conditions use internal binder names that do not
+    // re-parse, so a replay could never consume them.
+    if (acts) {
+      CaptureWitness(rule, *task.instance, task.snapshot,
+                     task.instance->ev.WitnessChain());
+    }
+    json::Json rec = MakeUpdateRecord(*rule, *task.instance, task.snapshot,
+                                      task.fired, task.was_satisfied, acts);
+    if (acts) rec.Set("witness", WitnessToJson(*rule->last_witness));
+    trace_->RecordUpdate(std::move(rec));
+  }
+  if (acts) {
+    pending->push_back(PendingAction{rule, task.instance, task.snapshot.seq,
+                                     task.snapshot.time});
+  }
+  return task.fired;
+}
+
+void RuleEngine::StepAndMerge(std::span<StepTask> tasks, size_t seq,
+                              std::vector<PendingAction>* pending) {
+  {
+    ScopedTimer step_timer(ins_.step_ns);
+    trace::ScopedSpan step_span(trace_, trace::SpanKind::kStep, "step",
+                                static_cast<int64_t>(seq));
+    RunStepTasks(tasks);
+  }
+  // Merge (serial, canonical order): identical decisions and error reporting
+  // regardless of thread count.
+  ScopedTimer merge_timer(ins_.merge_ns);
+  trace::ScopedSpan merge_span(trace_, trace::SpanKind::kMerge, "merge",
+                               static_cast<int64_t>(seq));
+  for (StepTask& task : tasks) MergeStepTask(task, pending);
 }
 
 Status RuleEngine::SetThreads(size_t n) {
@@ -999,15 +956,18 @@ void RuleEngine::ProcessState(const event::SystemState& state) {
 
   // Phase 1: system rules (aggregate reset/accumulate), in registration
   // order, actions applied inline so user conditions at this state already
-  // observe the updated items.
+  // observe the updated items. Each steps on its own (no query memo): the
+  // previous system rule's action may have changed what its queries read.
+  std::vector<PendingAction> pending;
   for (const auto& rule : rules_) {
     if (!rule->is_system) continue;
-    auto fired = StepInstance(rule.get(), rule->instances[0].get(), state);
-    if (!fired.ok()) {
-      ReportError(fired.status());
+    auto task = GatherStepTask(rule.get(), rule->instances[0].get(), state);
+    if (!task.ok()) {
+      ReportError(task.status());
       continue;
     }
-    if (*fired) {
+    RunStepTasks(std::span<StepTask>(&*task, 1));
+    if (MergeStepTask(*task, &pending)) {
       Status s = ApplySystemOp(*rule);
       if (!s.ok()) ReportError(std::move(s));
     }
@@ -1050,91 +1010,25 @@ void RuleEngine::ProcessState(const event::SystemState& state) {
         continue;
       }
     }
+    // §8 batched invocation: the snapshot is captured now (conditions must
+    // observe this state's query values); stepping waits for Flush().
+    // Integrity constraints never wait — they veto synchronously.
+    std::vector<StepTask>& sink =
+        batching && !rule->is_ic ? batch_queue_ : tasks;
     for (const auto& instance : rule->instances) {
       instance->ev.set_tracing(tracing);
-      if (batching && !rule->is_ic) {
-        // §8 batched invocation: capture the snapshot now (conditions must
-        // observe this state's query values), defer stepping to Flush().
-        auto snapshot = BuildSnapshot(*instance, state, &memo);
-        if (!snapshot.ok()) {
-          ReportError(snapshot.status());
-          continue;
-        }
-        batch_queue_.push_back(
-            QueuedStep{rule.get(), instance.get(), std::move(*snapshot)});
-        continue;
-      }
       auto task = GatherStepTask(rule.get(), instance.get(), state,
                                  /*allow_collect=*/true, &memo);
       if (!task.ok()) {
         ReportError(task.status());
         continue;
       }
-      tasks.push_back(std::move(*task));
+      sink.push_back(std::move(*task));
     }
   }
   }  // gather_timer
 
-  // §5 aux relations: persist every ground query value this pass observed.
-  // Runs only for real states — hypothetical IC probes (OnCommitAttempt)
-  // never record, so a vetoed commit leaves no trace in the history.
-  if (query_history_enabled_) RecordQueryHistory(state.time, memo);
-
-  // Step (sharded): pure evaluator work, fanned out when a pool is set.
-  {
-    ScopedTimer step_timer(ins_.step_ns);
-    trace::ScopedSpan step_span(trace_, trace::SpanKind::kStep, "step",
-                                static_cast<int64_t>(state.seq));
-    RunStepTasks(&tasks);
-  }
-
-  // Merge (serial, canonical order): identical decisions and error reporting
-  // regardless of thread count.
-  std::vector<PendingAction> pending;
-  {
-    ScopedTimer merge_timer(ins_.merge_ns);
-    trace::ScopedSpan merge_span(trace_, trace::SpanKind::kMerge, "merge",
-                                 static_cast<int64_t>(state.seq));
-  for (StepTask& task : tasks) {
-    if (task.stepped) {
-      ++stats_.rule_steps;
-      MetricAdd(ins_.rule_steps);
-    }
-    if (task.collected) {
-      ++stats_.collections;
-      MetricAdd(ins_.collections);
-    }
-    if (!task.status.ok()) {
-      ReportError(std::move(task.status));
-      continue;
-    }
-    bool run_action = task.fired && (task.rule->options.level_triggered ||
-                                     !task.was_satisfied);
-    bool acts = run_action && !task.rule->is_ic &&
-                task.rule->action != nullptr;
-    if (tracing && task.stepped && !task.rule->is_system) {
-      // Each instance stepped at most once this pass, so its evaluator still
-      // holds this state's step count and witness anchors. System rules are
-      // skipped: their generated conditions use internal binder names that
-      // do not re-parse, so a replay could never consume them.
-      if (acts) {
-        CaptureWitness(task.rule, *task.instance, task.snapshot,
-                       task.instance->ev.WitnessChain());
-      }
-      json::Json rec = MakeUpdateRecord(
-          *task.rule, *task.instance, task.snapshot,
-          task.instance->ev.steps(), task.fired, task.was_satisfied, acts);
-      if (acts) {
-        rec.Set("witness", WitnessToJson(*task.rule->last_witness));
-      }
-      trace_->RecordUpdate(std::move(rec));
-    }
-    if (acts) {
-      pending.push_back(
-          PendingAction{task.rule, task.instance, state.time});
-    }
-  }
-  }  // merge_timer
+  StepAndMerge(tasks, state.seq, &pending);
 
   // Phase 3: run actions, ascending (priority, registration order).
   RunPendingActions(std::move(pending));
@@ -1154,6 +1048,7 @@ void RuleEngine::ProcessState(const event::SystemState& state) {
 void RuleEngine::RunPendingActions(std::vector<PendingAction> pending) {
   std::stable_sort(pending.begin(), pending.end(),
                    [](const PendingAction& a, const PendingAction& b) {
+                     if (a.seq != b.seq) return a.seq < b.seq;
                      if (a.rule->options.priority != b.rule->options.priority) {
                        return a.rule->options.priority < b.rule->options.priority;
                      }
@@ -1225,118 +1120,23 @@ void RuleEngine::RunPendingActions(std::vector<PendingAction> pending) {
 Status RuleEngine::Flush() {
   if (flushing_) return Status::OK();  // outer drain loop will pick it up
   flushing_ = true;
-  const bool tracing = trace_ != nullptr && trace_->enabled();
   trace::ScopedSpan flush_span(trace_, trace::SpanKind::kFlush, "flush");
   while (!batch_queue_.empty()) {
-    std::vector<QueuedStep> queue;
+    std::vector<StepTask> queue;
     queue.swap(batch_queue_);
     batched_states_ = 0;
-
-    // Group the queue per instance, preserving each instance's state order:
-    // one shard replays an instance's whole snapshot sequence, so the same
-    // evaluator is never touched by two threads and the steps apply in
-    // history order.
-    struct StepOut {
-      bool stepped = false;
-      bool fired = false;
-      bool was_satisfied = false;
-      bool collected = false;
-      Status status = Status::OK();
-      // Captured at step time — an instance steps several times per drain,
-      // so the evaluator's state at merge time belongs to its *last* step.
-      uint64_t step_no = 0;
-      std::vector<eval::IncrementalEvaluator::WitnessLink> witness_chain;
-    };
-    std::vector<StepOut> outs(queue.size());
-    std::vector<std::vector<size_t>> groups;  // queue indices per instance
-    {
-      std::map<Instance*, size_t> group_of;
-      for (size_t i = 0; i < queue.size(); ++i) {
-        auto [it, inserted] =
-            group_of.emplace(queue[i].instance, groups.size());
-        if (inserted) groups.emplace_back();
-        groups[it->second].push_back(i);
-      }
-    }
-    auto run_group = [this, &queue, &outs, &groups, tracing](size_t g) {
-      for (size_t i : groups[g]) {
-        QueuedStep& qs = queue[i];
-        StepOut& out = outs[i];
-        if (qs.instance->last_seq == qs.snapshot.seq) continue;
-        eval::IncrementalEvaluator& ev = qs.instance->ev;
-        trace::ScopedSpan step_span(
-            trace_, trace::SpanKind::kRuleStep,
-            tracing ? qs.rule->name : std::string(),
-            static_cast<int64_t>(qs.snapshot.seq));
-        out.was_satisfied = ev.last_fired() && ev.steps() > 0;
-        Result<bool> fired = ev.Step(qs.snapshot);
-        if (!fired.ok()) {
-          out.status = fired.status();
-          continue;
-        }
-        qs.instance->last_seq = qs.snapshot.seq;
-        out.stepped = true;
-        out.fired = *fired;
-        if (tracing) {
-          EmitRecurrenceSpans(ev);
-          out.step_no = ev.steps();
-          bool run_action = out.fired && (qs.rule->options.level_triggered ||
-                                          !out.was_satisfied);
-          if (run_action && qs.rule->action != nullptr) {
-            out.witness_chain = ev.WitnessChain();
-          }
-        }
-        if (ev.MaybeCollect(collect_threshold_)) {
-          out.collected = true;
-        }
-      }
-    };
-    if (pool_ != nullptr && groups.size() > 1) {
-      ++stats_.parallel_dispatches;
-      MetricAdd(ins_.parallel_dispatches);
-      pool_->ParallelFor(groups.size(), run_group);
-    } else {
-      for (size_t g = 0; g < groups.size(); ++g) run_group(g);
-    }
-
-    // Merge in queue order (states in append order, rules in registration
-    // order within a state) — identical to the serial drain.
+    // Drain state by state — the queue holds each state's tasks
+    // contiguously, in canonical order — so every state steps and merges
+    // exactly as an unbatched update would; only the actions wait for the
+    // whole drain.
     std::vector<PendingAction> pending;
-    for (size_t i = 0; i < queue.size(); ++i) {
-      QueuedStep& qs = queue[i];
-      StepOut& out = outs[i];
-      if (out.stepped) {
-        ++stats_.rule_steps;
-        MetricAdd(ins_.rule_steps);
-      }
-      if (out.collected) {
-        ++stats_.collections;
-        MetricAdd(ins_.collections);
-      }
-      if (!out.status.ok()) {
-        ReportError(std::move(out.status));
-        continue;
-      }
-      bool run_action = out.fired && (qs.rule->options.level_triggered ||
-                                      !out.was_satisfied);
-      bool acts = out.stepped && run_action && qs.rule->action != nullptr;
-      if (tracing && out.stepped && !qs.rule->is_system) {
-        if (acts) {
-          CaptureWitness(qs.rule, *qs.instance, qs.snapshot,
-                         std::move(out.witness_chain));
-        }
-        json::Json rec =
-            MakeUpdateRecord(*qs.rule, *qs.instance, qs.snapshot, out.step_no,
-                             out.fired, out.was_satisfied, acts);
-        if (acts) {
-          rec.Set("witness", WitnessToJson(*qs.rule->last_witness));
-        }
-        trace_->RecordUpdate(std::move(rec));
-      }
-      if (acts) {
-        pending.push_back(
-            PendingAction{qs.rule, qs.instance, qs.snapshot.time});
-      }
+    std::span<StepTask> rest(queue);
+    while (!rest.empty()) {
+      const size_t seq = rest.front().snapshot.seq;
+      size_t n = 1;
+      while (n < rest.size() && rest[n].snapshot.seq == seq) ++n;
+      StepAndMerge(rest.first(n), seq, &pending);
+      rest = rest.subspan(n);
     }
     // Actions may append new states, refilling the queue; the while loop
     // drains them.
@@ -1669,7 +1469,7 @@ Status RuleEngine::OnCommitAttempt(const event::SystemState& prospective,
 
   // Probe (sharded): constraints step independently — each evaluator owns
   // its graph and its saved checkpoint references only that graph.
-  if (failure.ok()) RunStepTasks(&tasks);
+  if (failure.ok()) RunStepTasks(tasks);
 
   // Merge (serial, registration order): the violated list, the firing
   // verdicts, and the first reported failure come out identical to the
@@ -1697,10 +1497,10 @@ Status RuleEngine::OnCommitAttempt(const event::SystemState& prospective,
       }
     }
     if (tracing && task.stepped) {
-      json::Json rec = MakeUpdateRecord(
-          *task.rule, *task.instance, task.snapshot,
-          task.instance->ev.steps(), task.fired, task.was_satisfied,
-          /*fired=*/task.fired);
+      json::Json rec =
+          MakeUpdateRecord(*task.rule, *task.instance, task.snapshot,
+                           task.fired, task.was_satisfied,
+                           /*fired=*/task.fired);
       if (task.fired && task.rule->last_witness.has_value()) {
         rec.Set("witness", WitnessToJson(*task.rule->last_witness));
       }

@@ -37,6 +37,7 @@
 #include <memory>
 #include <optional>
 #include <set>
+#include <span>
 #include <string>
 #include <unordered_map>
 #include <utility>
@@ -49,7 +50,6 @@
 #include "common/thread_pool.h"
 #include "common/trace.h"
 #include "db/database.h"
-#include "eval/aux_store.h"
 #include "eval/incremental.h"
 #include "ptl/analyzer.h"
 #include "ptl/lint.h"
@@ -153,8 +153,6 @@ struct EngineStats {
   /// Whole query_values vectors reused because another instance in the same
   /// pass had an identical slot layout (cross-rule snapshot sharing).
   uint64_t snapshot_layout_hits = 0;
-  /// Ground query values recorded into the §5 query-history aux store.
-  uint64_t query_history_records = 0;
   /// Node-store collections across all rule instances (proves the
   /// bounded-state policy engages on long runs).
   uint64_t collections = 0;
@@ -239,8 +237,9 @@ class RuleEngine : public db::Database::Listener {
   /// engine produces the identical action sequence, `__executed` contents,
   /// and IC commit/abort verdicts as the serial one. This also parallelizes
   /// TCA probing (integrity constraints at commit attempts) and batched
-  /// Flush(), where each instance's buffered snapshots replay in state order
-  /// on a single shard. Cannot be called from within a rule action.
+  /// Flush(), which steps its buffered states one at a time, each state's
+  /// instances fanned out like an unbatched update. Cannot be called from
+  /// within a rule action.
   Status SetThreads(size_t n);
   size_t threads() const { return num_threads_; }
 
@@ -304,43 +303,6 @@ class RuleEngine : public db::Database::Listener {
   void SetCascadeTracking(bool on) { track_cascades_ = on; }
   /// Recorded cascade pairs since the last call.
   std::vector<std::pair<std::string, std::string>> TakeCascades();
-
-  // ---- §5 query history (auxiliary relations) ----
-
-  /// Enables recording of every ground query value the engine evaluates
-  /// during update processing into per-query interval-stamped histories —
-  /// the paper's auxiliary relation R_q, backed by the columnar
-  /// eval::ScalarSeries. Recording is read-only with respect to rule
-  /// evaluation: firing decisions, action order, and IC verdicts are
-  /// unchanged (hypothetical IC probes are never recorded). Off by default.
-  void SetQueryHistory(bool on) { query_history_enabled_ = on; }
-  bool query_history() const { return query_history_enabled_; }
-
-  /// Retention window for recorded histories: after each update at time t,
-  /// intervals that ended at or before t - `window` are trimmed (the
-  /// bounded-operator GC of §5). 0 (the default) retains everything.
-  void SetQueryHistoryRetention(Timestamp window) {
-    query_history_retention_ = window;
-  }
-  Timestamp query_history_retention() const { return query_history_retention_; }
-
-  /// Value the ground query `spec` had at time `t`, answered from the
-  /// recorded history by binary search over its interval columns (the §5
-  /// retrieval). NotFound when the query has no history or `t` precedes it;
-  /// OutOfRange when the covering interval was trimmed.
-  Result<Value> QueryValueAsOf(const ptl::QuerySpec& spec, Timestamp t) const;
-
-  /// Batched retrieval over an ascending timestamp vector: one merge pass
-  /// over the columnar history instead of per-timestamp searches.
-  Status GatherQueryValuesAsOf(const ptl::QuerySpec& spec,
-                               const std::vector<Timestamp>& ts,
-                               std::vector<Value>* out) const;
-
-  /// Rendered specs with recorded history, sorted (introspection).
-  std::vector<std::string> QueryHistoryKeys() const;
-
-  /// Deep retained bytes across all recorded histories.
-  size_t QueryHistoryBytes() const;
 
   // ---- Retained-state collection policy ----
 
@@ -523,29 +485,26 @@ class RuleEngine : public db::Database::Listener {
   struct PendingAction {
     Rule* rule;
     Instance* instance;
+    size_t seq;  // state the condition was satisfied at
     Timestamp fired_at;
   };
 
-  // One deferred evaluation step (batched mode): the snapshot was captured
-  // when the state was appended.
-  struct QueuedStep {
-    Rule* rule;
-    Instance* instance;
-    ptl::StateSnapshot snapshot;
-  };
-
-  // One instance-step prepared for sharded execution. The snapshot is built
-  // serially; Step runs on whichever shard claims the task (safe: each
-  // evaluator owns its graph); outputs merge back in task order, which the
-  // gather loops keep canonical — registration order, then instance-creation
-  // order — so firing decisions, action order, and error reporting are
-  // byte-identical to the serial engine regardless of thread count.
+  // One instance-step prepared for sharded execution — the single unit of
+  // evaluation work, whether stepped at once or deferred to Flush() (§8
+  // batching). The snapshot is built serially when the state is appended;
+  // Step runs on whichever shard claims the task (safe: each evaluator owns
+  // its graph); outputs merge back in task order, which the gather loops
+  // keep canonical — registration order, then instance-creation order — so
+  // firing decisions, action order, and error reporting are byte-identical
+  // to the serial engine regardless of thread count or batching.
   struct StepTask {
     Rule* rule = nullptr;
     Instance* instance = nullptr;
     ptl::StateSnapshot snapshot;
     bool allow_collect = true;
-    bool resolved = false;  // dedupe hit: outputs were filled at gather time
+    // Dedupe hit: outputs were filled at gather time, and the snapshot
+    // carries only the state's seq and time.
+    bool resolved = false;
     // Outputs:
     bool stepped = false;
     bool fired = false;
@@ -584,10 +543,6 @@ class RuleEngine : public db::Database::Listener {
   Result<ptl::StateSnapshot> BuildSnapshot(const Instance& instance,
                                            const event::SystemState& state,
                                            QueryMemo* memo = nullptr);
-  /// Steps one instance over `state`; returns whether it fired.
-  Result<bool> StepInstance(Rule* rule, Instance* instance,
-                            const event::SystemState& state,
-                            bool allow_collect = true);
   /// Builds a dedupe-resolved or steppable task for one instance at `state`.
   Result<StepTask> GatherStepTask(Rule* rule, Instance* instance,
                                   const event::SystemState& state,
@@ -595,8 +550,17 @@ class RuleEngine : public db::Database::Listener {
                                   QueryMemo* memo = nullptr);
   /// Executes every unresolved task — across the shard pool when one is
   /// configured, serially otherwise. Mutates only task outputs and the
-  /// tasks' own evaluators; engine-wide stats are updated by the caller.
-  void RunStepTasks(std::vector<StepTask>* tasks);
+  /// tasks' own evaluators; engine-wide stats are updated by the merge.
+  void RunStepTasks(std::span<StepTask> tasks);
+  /// Folds one stepped task back into the engine (serial): step/collection
+  /// counters, error reporting, the edge/level firing decision, the trace
+  /// update record and firing witness. Appends the action to `pending` when
+  /// it runs. Must follow the task's step before its evaluator steps again.
+  /// Returns the condition's verdict at the task's state (false on error).
+  bool MergeStepTask(StepTask& task, std::vector<PendingAction>* pending);
+  /// Steps one state's tasks, then merges them in task order.
+  void StepAndMerge(std::span<StepTask> tasks, size_t seq,
+                    std::vector<PendingAction>* pending);
   void ProcessState(const event::SystemState& state);
   Status ApplySystemOp(const Rule& rule);
   Status RecordExecution(const Rule& rule, const Instance& instance,
@@ -639,16 +603,6 @@ class RuleEngine : public db::Database::Listener {
   // Retained-state collection policy (see SetCollectThreshold).
   size_t collect_threshold_ = 65536;
 
-  // §5 query-history substrate (see SetQueryHistory). Mutated only on the
-  // serial post-gather path of ProcessState.
-  bool query_history_enabled_ = false;
-  Timestamp query_history_retention_ = 0;
-  std::unordered_map<ptl::QuerySpec, eval::ScalarSeries, ptl::QuerySpecHash>
-      query_history_;
-  /// Records every memoized query value of the pass at time `t`, then
-  /// applies the retention window.
-  void RecordQueryHistory(Timestamp t, const QueryMemo& memo);
-
   // Static analysis at registration (see SetStrictRegistration).
   bool strict_registration_ = false;
   bool lint_folding_ = true;
@@ -675,14 +629,12 @@ class RuleEngine : public db::Database::Listener {
   bool track_cascades_ = false;
   std::vector<std::pair<std::string, std::string>> cascades_;
 
-  /// Builds the JSONL provenance record for one stepped instance. `fired` is
-  /// the post-edge-trigger verdict (whether the action actually runs);
-  /// `step_no`/`witness_chain` must be captured at step time when an
-  /// instance steps more than once per pass (batched Flush).
+  /// Builds the JSONL provenance record for one instance right after its
+  /// step (the evaluator's step count numbers the record). `fired` is the
+  /// post-edge-trigger verdict (whether the action actually runs).
   json::Json MakeUpdateRecord(const Rule& rule, const Instance& instance,
                               const ptl::StateSnapshot& snapshot,
-                              uint64_t step_no, bool satisfied,
-                              bool was_satisfied, bool fired);
+                              bool satisfied, bool was_satisfied, bool fired);
   /// Emits one instant span per recurrence flip of the instance's last Step.
   void EmitRecurrenceSpans(const eval::IncrementalEvaluator& ev);
   /// Captures a Witness for a firing and stores it on the rule for `Why`.
@@ -710,7 +662,6 @@ class RuleEngine : public db::Database::Listener {
     Metrics::Counter* query_evals = nullptr;
     Metrics::Counter* query_memo_hits = nullptr;
     Metrics::Counter* snapshot_layout_hits = nullptr;
-    Metrics::Counter* query_history_records = nullptr;
     Metrics::Histogram* gather_ns = nullptr;
     Metrics::Histogram* step_ns = nullptr;
     Metrics::Histogram* merge_ns = nullptr;
@@ -722,8 +673,11 @@ class RuleEngine : public db::Database::Listener {
   size_t batch_size_ = 1;
   size_t batched_states_ = 0;
   bool flushing_ = false;
-  std::vector<QueuedStep> batch_queue_;
+  std::vector<StepTask> batch_queue_;  // deferred steps, in state order
 
+  /// Runs fired actions in ascending (state seq, priority, registration
+  /// order) — the order state-by-state evaluation, and so WAL replay,
+  /// produces, however many states one call covers.
   void RunPendingActions(std::vector<PendingAction> pending);
 };
 

@@ -654,91 +654,6 @@ TEST_F(EngineMetricsTest, RetainedNodesGaugeMatchesDescribeAfterCollection) {
       << text;
 }
 
-TEST_F(EngineTest, QueryHistoryDisabledByDefault) {
-  int fired = 0;
-  ASSERT_OK(
-      engine_.AddTrigger("watch", "price('IBM') > 50", CountAction(&fired)));
-  SetPrice("IBM", 60);
-  ExpectNoErrors();
-  EXPECT_FALSE(engine_.query_history());
-  ptl::QuerySpec spec{"price", {Value::Str("IBM")}};
-  EXPECT_EQ(engine_.QueryValueAsOf(spec, clock_.Now()).status().code(),
-            StatusCode::kNotFound);
-  EXPECT_TRUE(engine_.QueryHistoryKeys().empty());
-  EXPECT_EQ(engine_.QueryHistoryBytes(), 0u);
-}
-
-TEST_F(EngineTest, QueryHistoryAnswersHistoricalAsOf) {
-  engine_.SetQueryHistory(true);
-  int fired = 0;
-  ASSERT_OK(
-      engine_.AddTrigger("watch", "price('IBM') > 50", CountAction(&fired)));
-  SetPrice("IBM", 45);
-  SetPrice("IBM", 60);
-  SetPrice("IBM", 30);
-  ExpectNoErrors();
-
-  // States carry logical engine timestamps, not the SimClock reading, so
-  // locate each price's validity interval by scanning the history.
-  ptl::QuerySpec spec{"price", {Value::Str("IBM")}};
-  auto find_time = [&](double price) -> Timestamp {
-    for (Timestamp t = 0; t < 200; ++t) {
-      auto r = engine_.QueryValueAsOf(spec, t);
-      if (r.ok() && *r == Value::Real(price)) return t;
-    }
-    return -1;
-  };
-  Timestamp t_low = find_time(45);
-  Timestamp t_high = find_time(60);
-  ASSERT_GE(t_low, 0);
-  ASSERT_GT(t_high, t_low);
-  ASSERT_OK_AND_ASSIGN(Value v, engine_.QueryValueAsOf(spec, t_low));
-  EXPECT_EQ(v, Value::Real(45));
-  ASSERT_OK_AND_ASSIGN(v, engine_.QueryValueAsOf(spec, t_high));
-  EXPECT_EQ(v, Value::Real(60));
-  // The open interval answers arbitrarily far-future probes.
-  ASSERT_OK_AND_ASSIGN(v, engine_.QueryValueAsOf(spec, t_high + 1000));
-  EXPECT_EQ(v, Value::Real(30));
-
-  // Batched reads agree with the individual probes.
-  std::vector<Value> batch;
-  ASSERT_OK(engine_.GatherQueryValuesAsOf(spec, {t_low, t_high}, &batch));
-  ASSERT_EQ(batch.size(), 2u);
-  EXPECT_EQ(batch[0], Value::Real(45));
-  EXPECT_EQ(batch[1], Value::Real(60));
-
-  EXPECT_EQ(engine_.QueryHistoryKeys().size(), 1u);
-  EXPECT_GT(engine_.QueryHistoryBytes(), 0u);
-  EXPECT_GT(engine_.stats().query_history_records, 0u);
-}
-
-TEST_F(EngineTest, QueryHistoryRetentionTrimsOldIntervals) {
-  engine_.SetQueryHistory(true);
-  engine_.SetQueryHistoryRetention(2);
-  int fired = 0;
-  ASSERT_OK(
-      engine_.AddTrigger("watch", "price('IBM') > 50", CountAction(&fired)));
-  ptl::QuerySpec spec{"price", {Value::Str("IBM")}};
-  SetPrice("IBM", 45);
-  // Capture a timestamp inside 45's validity interval before it ages out.
-  Timestamp t_old = -1;
-  for (Timestamp t = 0; t < 200 && t_old < 0; ++t) {
-    auto r = engine_.QueryValueAsOf(spec, t);
-    if (r.ok() && *r == Value::Real(45)) t_old = t;
-  }
-  ASSERT_GE(t_old, 0);
-  SetPrice("IBM", 46);
-  SetPrice("IBM", 47);
-  SetPrice("IBM", 48);
-  SetPrice("IBM", 49);  // horizon trails by 2 ticks: t_old's interval is gone
-  ExpectNoErrors();
-  EXPECT_EQ(engine_.QueryValueAsOf(spec, t_old).status().code(),
-            StatusCode::kOutOfRange);
-  ASSERT_OK_AND_ASSIGN(Value v,
-                       engine_.QueryValueAsOf(spec, t_old + 1000));
-  EXPECT_EQ(v, Value::Real(49));
-}
-
 TEST_F(EngineMetricsTest, SnapshotLayoutReusedAcrossFamilyInstances) {
   // Family instances share an identical slot layout, so after the first
   // instance computes the query_values vector the rest reuse it wholesale.
@@ -752,27 +667,6 @@ TEST_F(EngineMetricsTest, SnapshotLayoutReusedAcrossFamilyInstances) {
             engine_.stats().snapshot_layout_hits);
   EXPECT_EQ(metrics_.counter("query.memo_hits").Get(),
             engine_.stats().query_memo_hits);
-}
-
-TEST_F(EngineMetricsTest, QueryHistoryGaugesPublished) {
-  engine_.SetQueryHistory(true);
-  int fired = 0;
-  ASSERT_OK(
-      engine_.AddTrigger("watch", "price('IBM') > 50", CountAction(&fired)));
-  SetPrice("IBM", 60);
-  SetPrice("IBM", 40);
-  ExpectNoErrors();
-  std::string snapshot = metrics_.ToJson();  // refreshes derived gauges
-  ASSERT_OK_AND_ASSIGN(json::Json doc, json::Parse(snapshot));
-  ASSERT_OK_AND_ASSIGN(const json::Json* gauges, doc.Get("gauges"));
-  const json::Json* series = gauges->Find("aux.query_history.series");
-  ASSERT_NE(series, nullptr) << snapshot;
-  ASSERT_OK_AND_ASSIGN(int64_t n, series->AsInt64());
-  EXPECT_GT(n, 0);
-  const json::Json* bytes = gauges->Find("aux.query_history.bytes");
-  ASSERT_NE(bytes, nullptr) << snapshot;
-  EXPECT_EQ(metrics_.counter("aux.query_history.records").Get(),
-            engine_.stats().query_history_records);
 }
 
 }  // namespace

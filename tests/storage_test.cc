@@ -569,5 +569,53 @@ TEST_F(StorageTest, GroupCommitCrashAtBoundaryPreservesAckedCommits) {
   }
 }
 
+TEST_F(StorageTest, BatchedFlushRecoversClean) {
+  // A batched drain must log its firings in state order, as WAL replay (one
+  // state at a time) decides them. Two priority-0 rules fire at consecutive
+  // states in the reverse of their registration order: a drain sorted only
+  // by (priority, registration order) logs a_first before b_second, replay
+  // logs b_second first, and recovery reports both as mismatches.
+  auto register_rules = [](rules::RuleEngine* engine) {
+    auto noop = [](rules::ActionContext&) { return Status::OK(); };
+    rules::RuleOptions opts{.record_execution = false};
+    PTLDB_CHECK_OK(engine->AddTrigger("a_first", "@ea()", noop, opts));
+    PTLDB_CHECK_OK(engine->AddTrigger("b_second", "@eb()", noop, opts));
+  };
+  fs::path dir = dir_ / "batched";
+  {
+    SimClock clock;
+    db::Database db(&clock);
+    rules::RuleEngine engine(&db);
+    register_rules(&engine);
+    engine.SetBatching(4);
+    CheckpointTargets targets;
+    targets.db = &db;
+    targets.engine = &engine;
+    targets.clock = &clock;
+    DurabilityOptions opts;
+    opts.dir = dir.string();
+    ASSERT_OK_AND_ASSIGN(auto mgr, DurabilityManager::Attach(opts, targets));
+    clock.Advance(1);
+    ASSERT_OK(db.RaiseEvent(event::Event{"eb", {}}));
+    clock.Advance(1);
+    ASSERT_OK(db.RaiseEvent(event::Event{"ea", {}}));
+    ASSERT_OK(engine.Flush());
+    ASSERT_EQ(engine.TakeErrors().size(), 0u);
+    ASSERT_EQ(engine.stats().actions_executed, 2u);
+  }
+
+  SimClock clock;
+  db::Database db(&clock);
+  rules::RuleEngine engine(&db);
+  register_rules(&engine);
+  CheckpointTargets targets;
+  targets.db = &db;
+  targets.engine = &engine;
+  targets.clock = &clock;
+  ASSERT_OK_AND_ASSIGN(RecoveryReport report, Recover(dir.string(), targets));
+  EXPECT_EQ(report.firings_replayed, 2u);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
 }  // namespace
 }  // namespace ptldb::storage

@@ -9,6 +9,8 @@
 #include <gtest/gtest.h>
 
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "common/logging.h"
 #include "common/trace.h"
@@ -191,6 +193,58 @@ TEST_F(TraceReplayTest, PartialHistoryIsSkippedNotMisjudged) {
   EXPECT_GT(report.partial_skipped, 0u);
   EXPECT_EQ(report.instances, 0u);
 }
+
+// §8 batched invocation: every instance steps several times per Flush, so
+// each update record's step number and each firing's witness must be taken
+// right after the step they describe, not at the end of the drain.
+class BatchedTraceReplayTest : public TraceReplayTest,
+                               public ::testing::WithParamInterface<size_t> {};
+
+TEST_P(BatchedTraceReplayTest, ReplayAgreesAndFiringsCarryWitnesses) {
+  ASSERT_OK(engine_.SetThreads(GetParam()));
+  engine_.SetBatching(3);
+  // Execution recording off, so only price updates append states; the
+  // 40/90 swings put a `low` firing and a later `hot` firing in one drain.
+  std::vector<std::pair<std::string, Timestamp>> ran;
+  ActionFn log = [&ran](ActionContext& ctx) -> Status {
+    ran.emplace_back(ctx.rule(), ctx.fired_at());
+    return Status::OK();
+  };
+  RuleOptions quiet{.record_execution = false};
+  ASSERT_OK(engine_.AddTrigger(
+      "hot", "price('IBM') > 50 SINCE price('IBM') > 70", log, quiet));
+  ASSERT_OK(engine_.AddTrigger(
+      "sharp_increase",
+      "[t := time][x := price('IBM')] "
+      "PREVIOUSLY (price('IBM') <= 0.5 * x AND time >= t - 10)",
+      log, quiet));
+  ASSERT_OK(engine_.AddTrigger("low", "price('IBM') < 42", log, quiet));
+  for (double price : {45.0, 80.0, 60.0, 40.0, 90.0, 40.0, 90.0, 40.0, 90.0}) {
+    SetPrice("IBM", price);
+  }
+  ASSERT_OK(engine_.Flush());
+  ExpectNoErrors();
+  ASSERT_GE(ran.size(), 4u);
+  // Actions run in state order even though a drain covers several states.
+  for (size_t i = 1; i < ran.size(); ++i) {
+    EXPECT_LE(ran[i - 1].second, ran[i].second)
+        << ran[i - 1].first << " ran before " << ran[i].first;
+  }
+  ASSERT_OK_AND_ASSIGN(std::string why, engine_.Why("sharp_increase"));
+  EXPECT_NE(why.find("bound: x = 90"), std::string::npos) << why;
+
+  ASSERT_OK_AND_ASSIGN(ReplayReport report, TraceReplay(trace_.ToJsonl()));
+  EXPECT_EQ(report.mismatches, 0u)
+      << report.Summary() << "\n"
+      << (report.details.empty() ? "" : report.details.front());
+  EXPECT_EQ(report.instances, 3u);
+  EXPECT_EQ(report.fired_with_witness, ran.size());
+  EXPECT_EQ(report.fired_without_witness, 0u) << report.Summary();
+  EXPECT_EQ(report.partial_skipped, 0u);
+}
+
+INSTANTIATE_TEST_SUITE_P(Threads, BatchedTraceReplayTest,
+                         ::testing::Values(size_t{1}, size_t{4}));
 
 }  // namespace
 }  // namespace ptldb::rules

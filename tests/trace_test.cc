@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <string>
 #include <thread>
 #include <vector>
@@ -144,7 +145,8 @@ TEST(TraceValueCodecTest, RoundTripsEveryValueType) {
       Value::Int(INT64_MAX),
       Value::Int(INT64_MIN),
       Value::Real(0.1),  // not exactly representable: %.17g must round-trip
-      Value::Real(-2.5e308 / 2),
+      Value::Real(-1.25e308),
+      Value::Real(-std::numeric_limits<double>::infinity()),
       Value::Str(""),
       Value::Str("quote \" backslash \\ newline \n done"),
   };

@@ -5,7 +5,7 @@
 // to coalesce). Per-request latency is measured tag-to-tag; the summary
 // reports throughput and p50/p99 ack latency, as text or JSON.
 //
-//   ptldb-loadgen --port-file=/tmp/port --sessions=8 --events=500 \
+//   ptldb-loadgen --port-file=/tmp/port --sessions=8 --events=500
 //                 --pipeline=16 --mode=insert --json
 //
 // --latency-out=PATH additionally dumps the client-observed wire-to-ack

@@ -8,7 +8,7 @@
 // pre-crash state before serving (exit code 2 if the recovery report is not
 // clean — the differential oracle caught a divergence).
 //
-//   ptldb-server --port=0 --port-file=/tmp/port --dir=/tmp/ptldb \
+//   ptldb-server --port=0 --port-file=/tmp/port --dir=/tmp/ptldb
 //                --fsync=group --batch=64 --delay-us=200 [--recover]
 //
 // Prints "LISTENING <port>" once serving; SIGINT/SIGTERM stop it cleanly
