@@ -806,40 +806,6 @@ std::string SetReport::ToDot() const {
 
 namespace {
 
-std::string_view TrimView(std::string_view s) {
-  size_t b = 0, e = s.size();
-  while (b < e && std::isspace(static_cast<unsigned char>(s[b]))) ++b;
-  while (e > b && std::isspace(static_cast<unsigned char>(s[e - 1]))) --e;
-  return s.substr(b, e - b);
-}
-
-bool IsIdent(std::string_view s) {
-  if (s.empty()) return false;
-  if (!std::isalpha(static_cast<unsigned char>(s[0])) && s[0] != '_') {
-    return false;
-  }
-  for (char c : s) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
-  }
-  return true;
-}
-
-/// First '|' outside single/double-quoted string literals, or npos.
-size_t FindEffectSeparator(std::string_view s) {
-  char quote = 0;
-  for (size_t i = 0; i < s.size(); ++i) {
-    char c = s[i];
-    if (quote != 0) {
-      if (c == quote) quote = 0;
-    } else if (c == '\'' || c == '"') {
-      quote = c;
-    } else if (c == '|') {
-      return i;
-    }
-  }
-  return std::string_view::npos;
-}
-
 std::vector<std::string> SplitList(std::string_view s) {
   std::vector<std::string> out;
   std::string cur;
@@ -886,7 +852,7 @@ std::string ParseEffectClause(std::string_view clause, RuleDecl* d) {
         return StrCat("'", word, "' needs at least one name");
       }
       for (auto& name : names) {
-        if (!IsIdent(name)) {
+        if (!ptl::IsIdentifier(name)) {
           return StrCat("bad name '", name, "' in '", word, "'");
         }
         (word == "writes" ? d->effects.writes : d->effects.raises)
@@ -920,71 +886,34 @@ std::string ParseEffectClause(std::string_view clause, RuleDecl* d) {
 ParsedRuleSet ParseRuleSetText(std::string_view text) {
   ParsedRuleSet out;
   std::set<std::string> names;
-  size_t line_no = 0;
-  size_t pos = 0;
   size_t anon = 0;
-  while (pos <= text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string_view::npos) eol = text.size();
-    std::string_view line = TrimView(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    ++line_no;
-    if (line.empty() || line.front() == '#') {
-      if (pos > text.size()) break;
+  for (const ptl::RuleLine& l : ptl::SplitRuleLines(text)) {
+    if (!l.error.empty()) {
+      out.errors.push_back(StrCat("line ", l.line, ": ", l.error));
       continue;
     }
     RuleDecl d;
-    // Optional leading `trigger` / `ic` keyword.
-    std::string_view rest = line;
-    if (rest.rfind("trigger ", 0) == 0) {
-      rest = TrimView(rest.substr(8));
-    } else if (rest.rfind("ic ", 0) == 0) {
-      d.is_ic = true;
-      rest = TrimView(rest.substr(3));
-    }
-    size_t def = rest.find(":=");
-    if (def != std::string_view::npos) {
-      std::string_view name = TrimView(rest.substr(0, def));
-      if (!IsIdent(name)) {
-        out.errors.push_back(StrCat("line ", line_no, ": bad rule name '",
-                                    name, "'"));
-        if (pos > text.size()) break;
-        continue;
-      }
-      d.name = std::string(name);
-      rest = TrimView(rest.substr(def + 2));
-    } else {
-      d.name = StrCat("rule", ++anon);
-    }
+    d.is_ic = l.is_ic;
+    d.name = l.name.empty() ? StrCat("rule", ++anon) : std::string(l.name);
     if (!names.insert(d.name).second) {
-      out.errors.push_back(StrCat("line ", line_no, ": duplicate rule name '",
+      out.errors.push_back(StrCat("line ", l.line, ": duplicate rule name '",
                                   d.name, "'"));
-      if (pos > text.size()) break;
       continue;
     }
-    std::string_view cond = rest;
-    size_t sep = FindEffectSeparator(rest);
-    std::string_view clause;
-    if (sep != std::string_view::npos) {
-      cond = TrimView(rest.substr(0, sep));
-      clause = TrimView(rest.substr(sep + 1));
-      d.effects_declared = true;
-    }
-    d.source = std::string(cond);
+    d.effects_declared = l.has_effects;
+    d.source = std::string(l.condition);
     auto parsed = ptl::ParseFormula(d.source);
     if (!parsed.ok()) {
-      out.errors.push_back(StrCat("line ", line_no, ": rule '", d.name, "': ",
+      out.errors.push_back(StrCat("line ", l.line, ": rule '", d.name, "': ",
                                   parsed.status().message()));
-      if (pos > text.size()) break;
       continue;
     }
     d.condition = std::move(parsed).value();
-    if (!clause.empty()) {
-      std::string err = ParseEffectClause(clause, &d);
+    if (!l.effects.empty()) {
+      std::string err = ParseEffectClause(l.effects, &d);
       if (!err.empty()) {
-        out.errors.push_back(StrCat("line ", line_no, ": rule '", d.name,
+        out.errors.push_back(StrCat("line ", l.line, ": rule '", d.name,
                                     "': ", err));
-        if (pos > text.size()) break;
         continue;
       }
     }
@@ -995,7 +924,6 @@ ParsedRuleSet ParseRuleSetText(std::string_view text) {
     d.boundedness =
         ptl::LintFormula(d.condition, ptl::LintOptions{false}).boundedness;
     out.decls.push_back(std::move(d));
-    if (pos > text.size()) break;
   }
   return out;
 }

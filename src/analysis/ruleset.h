@@ -26,7 +26,7 @@
 // whose whole partition is effect-free (and which has default priority and
 // no execution recording) is certified *batching-commutative*: the server
 // may evaluate it under any batch boundary placement with byte-identical
-// firings. `server_equivalence_test` consumes this certificate.
+// firings. The differential harness's served arm consumes this certificate.
 
 #ifndef PTLDB_ANALYSIS_RULESET_H_
 #define PTLDB_ANALYSIS_RULESET_H_
@@ -155,17 +155,17 @@ ReadSet ExtractReadSet(const ptl::FormulaPtr& f, const AnalyzeOptions& opts,
 /// (exposed for tests).
 bool HasSettlingTimeGuard(const ptl::FormulaPtr& f);
 
-/// Rule-file front end for `ptldb-analyze` and the fuzzer. Extends the
-/// ptldb-lint line format with a declared-effect clause after the condition:
+/// Rule-file front end for `ptldb-analyze` and the fuzzer. Lines split by
+/// ptl::SplitRuleLines (the grammar ptldb-lint shares); this parses the
+/// declared-effect clause after the condition:
 ///
-///   [trigger|ic] name := condition [| effects]
+///   [trigger|ic] [name :=] condition [| effects]
 ///   effects := writes(a b ...) | raises(e ...) | abort | pure | level
 ///            | record | priority=N   (space separated, any order)
 ///
 /// `ic` lines abort implicitly. A trigger line without a `|` clause has
 /// *undeclared* effects (the analyzer assumes the worst, PTL202); `pure`
-/// declares the empty set. The `|` separator is recognized outside string
-/// literals only. Blank lines and `#` comments are skipped.
+/// declares the empty set. Unnamed rules are called rule1, rule2, ...
 struct ParsedRuleSet {
   std::vector<RuleDecl> decls;
   /// One entry per malformed line: rendered parse error with caret.

@@ -941,17 +941,6 @@ std::string_view Trim(std::string_view s) {
   return s.substr(b, e - b);
 }
 
-bool IsIdentifier(std::string_view s) {
-  if (s.empty()) return false;
-  if (!std::isalpha(static_cast<unsigned char>(s[0])) && s[0] != '_') {
-    return false;
-  }
-  for (char c : s) {
-    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
-  }
-  return true;
-}
-
 // Indents every line of `text` by two spaces.
 std::string Indent(std::string_view text) {
   std::string out;
@@ -970,19 +959,73 @@ std::string Indent(std::string_view text) {
   return out;
 }
 
-// Strips a leading `trigger` / `ic` keyword so trigger definitions paste
-// directly from shell scripts.
-std::string_view StripRuleKeyword(std::string_view s) {
-  for (std::string_view kw : {"trigger", "ic"}) {
-    if (s.size() > kw.size() && ToLower(std::string(s.substr(0, kw.size()))) == kw &&
-        std::isspace(static_cast<unsigned char>(s[kw.size()]))) {
-      return Trim(s.substr(kw.size()));
+/// First '|' outside single/double-quoted string literals, or npos.
+size_t FindEffectSeparator(std::string_view s) {
+  char quote = 0;
+  for (size_t i = 0; i < s.size(); ++i) {
+    char c = s[i];
+    if (quote != 0) {
+      if (c == quote) quote = 0;
+    } else if (c == '\'' || c == '"') {
+      quote = c;
+    } else if (c == '|') {
+      return i;
     }
   }
-  return s;
+  return std::string_view::npos;
 }
 
 }  // namespace
+
+bool IsIdentifier(std::string_view s) {
+  if (s.empty()) return false;
+  if (!std::isalpha(static_cast<unsigned char>(s[0])) && s[0] != '_') {
+    return false;
+  }
+  for (char c : s) {
+    if (!std::isalnum(static_cast<unsigned char>(c)) && c != '_') return false;
+  }
+  return true;
+}
+
+std::vector<RuleLine> SplitRuleLines(std::string_view text) {
+  std::vector<RuleLine> out;
+  size_t line_no = 0;
+  for (size_t pos = 0; pos <= text.size();) {
+    size_t eol = text.find('\n', pos);
+    if (eol == std::string_view::npos) eol = text.size();
+    std::string_view rest = Trim(text.substr(pos, eol - pos));
+    pos = eol + 1;
+    ++line_no;
+    if (rest.empty() || rest.front() == '#') continue;
+    RuleLine l;
+    l.line = line_no;
+    if (rest.rfind("trigger ", 0) == 0) {
+      rest = Trim(rest.substr(8));
+    } else if (rest.rfind("ic ", 0) == 0) {
+      l.is_ic = true;
+      rest = Trim(rest.substr(3));
+    }
+    size_t def = rest.find(":=");
+    if (def != std::string_view::npos &&
+        rest.substr(0, def).find('[') == std::string_view::npos) {
+      l.name = Trim(rest.substr(0, def));
+      if (!IsIdentifier(l.name)) {
+        l.error = StrCat("bad rule name '", l.name, "'");
+      }
+      rest = Trim(rest.substr(def + 2));
+    }
+    l.condition = rest;
+    size_t sep = FindEffectSeparator(rest);
+    if (sep != std::string_view::npos) {
+      l.condition = Trim(rest.substr(0, sep));
+      l.has_effects = true;
+      l.effects = Trim(rest.substr(sep + 1));
+    }
+    out.push_back(std::move(l));
+  }
+  return out;
+}
 
 LintReport LintFormula(const FormulaPtr& f, const LintOptions& opts) {
   if (f == nullptr) return LintReport{};
@@ -992,48 +1035,26 @@ LintReport LintFormula(const FormulaPtr& f, const LintOptions& opts) {
 
 FileLintResult LintRulesText(std::string_view text, const LintOptions& opts) {
   FileLintResult out;
-  std::vector<std::string> lines;
-  size_t line_no = 0;
-  size_t start = 0;
   std::vector<std::string> rendered;
-  while (start <= text.size()) {
-    size_t nl = text.find('\n', start);
-    std::string_view raw =
-        nl == std::string_view::npos ? text.substr(start)
-                                     : text.substr(start, nl - start);
-    ++line_no;
-    start = nl == std::string_view::npos ? text.size() + 1 : nl + 1;
-
-    std::string_view line = Trim(raw);
-    if (line.empty() || line[0] == '#') continue;
-    line = StripRuleKeyword(line);
-
-    // `name := condition` when the text before the first `:=` is a bare
-    // identifier (binders always start with '[', so they cannot match).
-    std::string name;
-    std::string_view cond = line;
-    size_t assign = line.find(":=");
-    if (assign != std::string_view::npos &&
-        IsIdentifier(Trim(line.substr(0, assign)))) {
-      name = std::string(Trim(line.substr(0, assign)));
-      cond = Trim(line.substr(assign + 2));
-    }
+  for (const RuleLine& l : SplitRuleLines(text)) {
     ++out.rules;
-    std::string label =
-        name.empty() ? StrCat("<line ", line_no, ">") : name;
-
+    std::string label = l.name.empty() ? StrCat("<line ", l.line, ">")
+                                       : std::string(l.name);
+    std::string_view cond = l.condition;
     FileLintResult::RuleLint entry_rec;
     entry_rec.name = label;
-    entry_rec.line = line_no;
+    entry_rec.line = l.line;
     entry_rec.condition = std::string(cond);
 
-    Result<FormulaPtr> parsed = ParseFormula(cond);
+    Result<FormulaPtr> parsed = l.error.empty()
+                                    ? ParseFormula(cond)
+                                    : Status::ParseError(l.error);
     if (!parsed.ok()) {
       ++out.errors;
       entry_rec.parse_error = parsed.status().message();
       out.entries.push_back(std::move(entry_rec));
       rendered.push_back(StrCat(
-          label, " (line ", line_no, "): parse failed\n",
+          label, " (line ", l.line, "): parse failed\n",
           Indent(StrCat(DiagCodeName(DiagCode::kParseError), " error: ",
                         parsed.status().message()))));
       continue;
@@ -1045,7 +1066,7 @@ FileLintResult LintRulesText(std::string_view text, const LintOptions& opts) {
     entry_rec.report = rep;
     out.entries.push_back(std::move(entry_rec));
     std::string entry =
-        StrCat(label, " (line ", line_no,
+        StrCat(label, " (line ", l.line,
                "): boundedness: ", BoundednessToString(rep.boundedness), ", ",
                rep.diagnostics.size(), " diagnostic",
                rep.diagnostics.size() == 1 ? "" : "s");

@@ -87,11 +87,32 @@ struct LintReport {
 /// Runs all analyses over `f`. Null input yields an empty report.
 LintReport LintFormula(const FormulaPtr& f, const LintOptions& opts = {});
 
-/// Lints a rule file for the shell `lint <file>` command and the ptldb-lint
-/// CLI. One rule per line: `name := condition`, or a bare condition; blank
-/// lines and `#` comments are skipped; an optional leading `trigger` or `ic`
-/// keyword before the name is accepted (and ignored) so trigger definitions
-/// paste directly.
+/// One rule line of a rule file, split but not parsed; the views point into
+/// the text given to SplitRuleLines. ptldb-lint and ptldb-analyze share this
+/// grammar, one rule per line:
+///
+///   [trigger|ic] [name :=] condition [| effects]
+///
+/// Blank lines and `#` comments are skipped. A `:=` names the rule only when
+/// no `[` precedes it, so a bare condition may open with a binder. The `|`
+/// separator is recognized outside string literals only; the effect clause
+/// itself is the analyzer's (analysis::ParseRuleSetText).
+struct RuleLine {
+  size_t line = 0;  // 1-based line number in the input
+  bool is_ic = false;
+  std::string_view name;  // empty for a bare condition
+  std::string_view condition;
+  bool has_effects = false;  // a `|` clause follows the condition
+  std::string_view effects;
+  std::string error;  // non-empty when the line is malformed (bad name)
+};
+std::vector<RuleLine> SplitRuleLines(std::string_view text);
+
+/// True for a C-style identifier: [A-Za-z_][A-Za-z0-9_]*.
+bool IsIdentifier(std::string_view s);
+
+/// Lints a rule file (SplitRuleLines grammar) for the ptldb-lint CLI: each
+/// rule's condition; effect clauses are left to ptldb-analyze.
 struct FileLintResult {
   /// One structured entry per rule line, for machine-readable output
   /// (`ptldb-lint --json`). `parse_error` is non-empty when the condition

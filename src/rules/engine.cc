@@ -1055,13 +1055,17 @@ void RuleEngine::RunPendingActions(std::vector<PendingAction> pending) {
                      return a.rule->registration_order <
                             b.rule->registration_order;
                    });
-  for (const PendingAction& pa : pending) {
-    if (firing_observer_ != nullptr) {
-      // The decision is persisted *before* the action runs, so its database
-      // effects land in the WAL after the record recovery compares against.
+  // Every decision of this drain is persisted *before* the first action
+  // runs: an action's database effects (and the firings of the nested state
+  // they append) land in the WAL after the records recovery compares
+  // against, in the state-by-state order replay decides them.
+  if (firing_observer_ != nullptr) {
+    for (const PendingAction& pa : pending) {
       firing_observer_->OnFiring(
           Firing{pa.rule->name, pa.instance->params_key, pa.fired_at});
     }
+  }
+  for (const PendingAction& pa : pending) {
     ++stats_.actions_executed;
     MetricAdd(ins_.actions_executed);
     ++pa.rule->fires;

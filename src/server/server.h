@@ -23,7 +23,7 @@
 // Because every request flows through the same engine APIs in queue order,
 // the firing log the server produces is byte-identical to a direct library
 // run of the same request sequence at any batch size (rules at default
-// priority) — tests/server_equivalence_test.cc holds it to that.
+// priority) — the served arm of tests/differential_test.cc holds it to that.
 
 #ifndef PTLDB_SERVER_SERVER_H_
 #define PTLDB_SERVER_SERVER_H_

@@ -22,10 +22,7 @@ Status EncodeCheckpoint(uint64_t id, const CheckpointTargets& targets,
   w.I64(db.history().last_time());
   PTLDB_RETURN_IF_ERROR(db.SerializeContents(&w));
   PTLDB_RETURN_IF_ERROR(targets.engine->SerializeRetainedState(&w));
-  w.Bool(targets.vt != nullptr);
-  if (targets.vt != nullptr) {
-    PTLDB_RETURN_IF_ERROR(targets.vt->SerializeState(&w));
-  }
+  w.Bool(false);  // retired valid-time section
   w.Str(targets.metrics != nullptr ? targets.metrics->ToJson() : std::string());
   // Temporal section last: bodies written before the subsystem existed simply
   // end here, and the restore side treats "no bytes left" as "no store".
@@ -160,11 +157,9 @@ Result<CheckpointInfo> RestoreCheckpoint(const std::string& body,
   PTLDB_RETURN_IF_ERROR(targets.engine->RestoreRetainedState(&r));
   PTLDB_ASSIGN_OR_RETURN(bool has_vt, r.Bool());
   if (has_vt) {
-    if (targets.vt == nullptr) {
-      return Status::InvalidArgument(
-          "checkpoint holds a valid-time store but none was supplied");
-    }
-    PTLDB_RETURN_IF_ERROR(targets.vt->RestoreState(&r));
+    return Status::InvalidArgument(
+        "checkpoint holds a valid-time store section, which is retired: "
+        "VtDatabase commits never reach the WAL, so it cannot be recovered");
   }
   PTLDB_ASSIGN_OR_RETURN(info.metrics_json, r.Str());
   if (r.remaining() > 0) {  // dumps predating the temporal subsystem end here

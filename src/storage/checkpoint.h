@@ -4,8 +4,10 @@
 // A checkpoint serializes everything a restarted process cannot recompute
 // from code alone: the database contents and history position, the rule
 // engine's per-instance F_{g,i} and-or graphs and aggregate machines, the
-// valid-time store with its monitors' per-state evaluator checkpoints, the
-// logical clock, and a metrics snapshot (informational).
+// version store, the logical clock, and a metrics snapshot (informational).
+// The body still carries a presence byte for a valid-time store section,
+// always written 0: VtDatabase commits never reach the WAL, so the section
+// is retired and restoring a body that sets it fails.
 //
 // Directory layout (LevelDB-style):
 //
@@ -30,7 +32,6 @@
 #include "rules/engine.h"
 #include "storage/file.h"
 #include "temporal/versioning.h"
-#include "validtime/vt.h"
 
 namespace ptldb::storage {
 
@@ -40,13 +41,11 @@ inline constexpr char kCurrentFileName[] = "CURRENT";
 inline constexpr char kWalFileName[] = "wal.log";
 inline constexpr char kCheckpointFilePrefix[] = "checkpoint-";
 
-/// The components a checkpoint covers. `vt`, `metrics` and `temporal` may be
-/// null.
+/// The components a checkpoint covers. `metrics` and `temporal` may be null.
 struct CheckpointTargets {
   db::Database* db = nullptr;
   rules::RuleEngine* engine = nullptr;
   Clock* clock = nullptr;
-  validtime::VtDatabase* vt = nullptr;
   Metrics* metrics = nullptr;
   /// System-period version store; serialized last in the body so dumps from
   /// before the temporal subsystem restore unchanged.
@@ -78,7 +77,7 @@ Result<CheckpointInfo> ReadLatestValidCheckpoint(const std::string& dir,
                                                  std::string* body_out);
 
 /// Restores a checkpoint body into `targets`: clock, database contents,
-/// engine retained state, valid-time store. The application must have
+/// engine retained state, version store. The application must have
 /// re-registered all rules/triggers first (their conditions are validated
 /// against the dump). Returns the decoded summary.
 Result<CheckpointInfo> RestoreCheckpoint(const std::string& body,

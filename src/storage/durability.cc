@@ -93,14 +93,7 @@ Status DurabilityManager::WaitWalDurable() {
 
 Status DurabilityManager::OpenFreshWal() {
   if (wal_ != nullptr) {
-    const WalStats& s = wal_->stats();
-    stats_snapshot_.records_appended += s.records_appended;
-    stats_snapshot_.bytes_appended += s.bytes_appended;
-    stats_snapshot_.syncs += s.syncs;
-    stats_snapshot_.state_records += s.state_records;
-    stats_snapshot_.firing_records += s.firing_records;
-    stats_snapshot_.veto_records += s.veto_records;
-    stats_snapshot_.temporal_records += s.temporal_records;
+    stats_snapshot_ = wal_stats();  // fold the retiring log into the total
     wal_.reset();
   }
   PTLDB_ASSIGN_OR_RETURN(

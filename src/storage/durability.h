@@ -63,7 +63,7 @@ class DurabilityManager : public db::Database::WalSink,
   /// Attaches durability to live components. Writes a checkpoint of the
   /// current state (id 0 on a fresh directory, last+1 on an existing one —
   /// e.g. right after Recover) and starts a fresh WAL.
-  /// `vt`/`metrics`/`temporal` in `targets` may be null; `db`, `engine`,
+  /// `metrics`/`temporal` in `targets` may be null; `db`, `engine`,
   /// `clock` are required.
   static Result<std::unique_ptr<DurabilityManager>> Attach(
       DurabilityOptions options, CheckpointTargets targets);

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -339,6 +341,34 @@ TEST(LintRulesText, BareConditionAndBinderFirstLine) {
   EXPECT_EQ(res.rules, 1u);
   EXPECT_EQ(res.errors, 0u);
   EXPECT_NE(res.rendered.find("<line 1>"), std::string::npos) << res.rendered;
+}
+
+TEST(LintRulesText, SharesTheAnalyzerGrammar) {
+  // Effect clauses split off the condition; names follow ptldb-analyze.
+  ptl::FileLintResult res = ptl::LintRulesText(
+      "trigger a := @x AND q() > 'a|b' | writes(t) raises(y)\n"
+      "TRIGGER b := @x\n");
+  ASSERT_EQ(res.entries.size(), 2u);
+  EXPECT_EQ(res.entries[0].name, "a");
+  EXPECT_EQ(res.entries[0].condition, "@x AND q() > 'a|b'");
+  EXPECT_EQ(res.entries[0].parse_error, "");
+  EXPECT_EQ(res.entries[1].parse_error, "bad rule name 'TRIGGER b'");
+  EXPECT_EQ(res.errors, 1u);
+}
+
+TEST(LintRulesText, CheckedInRuleFilesParse) {
+  for (const char* name : {"monitoring.rules", "feedback.rules"}) {
+    std::ifstream in(std::string(PTLDB_RULESETS_DIR) + "/" + name);
+    ASSERT_TRUE(in) << name;
+    std::stringstream text;
+    text << in.rdbuf();
+    ptl::FileLintResult res = ptl::LintRulesText(text.str());
+    EXPECT_GT(res.rules, 0u) << name;
+    for (const auto& e : res.entries) {
+      EXPECT_EQ(e.parse_error, "") << name << ": " << e.name;
+    }
+    EXPECT_EQ(res.errors, 0u) << res.rendered;
+  }
 }
 
 // ---- Fold soundness (property) ----------------------------------------------

@@ -275,6 +275,24 @@ TEST_F(StorageTest, CheckpointBodyFraming) {
   EXPECT_FALSE(ExtractCheckpointBody(bad_magic).ok());
 }
 
+TEST_F(StorageTest, RetiredValidTimeSectionIsRejected) {
+  SimClock clock;
+  db::Database db(&clock);
+  rules::RuleEngine engine(&db);
+  CheckpointTargets targets{.db = &db, .engine = &engine, .clock = &clock};
+  std::string body;
+  ASSERT_OK(EncodeCheckpoint(1, targets, &body));
+  // Tail without metrics or a version store: [vt byte][u32 0 = ""][0].
+  const size_t vt_byte = body.size() - 6;
+  ASSERT_EQ(body[vt_byte], 0);
+  ASSERT_OK(RestoreCheckpoint(body, targets).status());
+  body[vt_byte] = 1;
+  Status s = RestoreCheckpoint(body, targets).status();
+  EXPECT_EQ(s.code(), StatusCode::kInvalidArgument) << s.ToString();
+  EXPECT_NE(s.ToString().find("valid-time"), std::string::npos)
+      << s.ToString();
+}
+
 // Minimal body whose header fields decode (id, clock, history size).
 std::string MiniBody(uint64_t id) {
   std::string body;
@@ -569,6 +587,35 @@ TEST_F(StorageTest, GroupCommitCrashAtBoundaryPreservesAckedCommits) {
   }
 }
 
+TEST_F(StorageTest, WalStatsOnlyGrowAcrossCheckpoints) {
+  SimClock clock;
+  db::Database db(&clock);
+  rules::RuleEngine engine(&db);
+  ASSERT_OK(db.CreateTable("t", db::Schema({{"v", ValueType::kInt64}})));
+  DurabilityOptions opts;
+  opts.dir = dir_.string();
+  opts.fsync = FsyncPolicy::kNone;
+  ASSERT_OK_AND_ASSIGN(
+      auto mgr, DurabilityManager::Attach(
+                    opts, {.db = &db, .engine = &engine, .clock = &clock}));
+  WalStats last = mgr->wal_stats();
+  for (int round = 0; round < 3; ++round) {
+    clock.Advance(1);
+    ASSERT_OK(db.InsertRow("t", {Value::Int(round)}));
+    WalStats written = mgr->wal_stats();
+    EXPECT_GT(written.bytes_appended, last.bytes_appended);
+    EXPECT_GT(written.records_appended, last.records_appended);
+    EXPECT_GT(written.state_records, last.state_records);
+    // The reset starts a fresh log; the totals carry the retired one over
+    // and add the new log's checkpoint marker.
+    ASSERT_OK(mgr->Checkpoint());
+    last = mgr->wal_stats();
+    EXPECT_GT(last.bytes_appended, written.bytes_appended);
+    EXPECT_EQ(last.records_appended, written.records_appended + 1);
+    EXPECT_EQ(last.state_records, written.state_records);
+  }
+}
+
 TEST_F(StorageTest, BatchedFlushRecoversClean) {
   // A batched drain must log its firings in state order, as WAL replay (one
   // state at a time) decides them. Two priority-0 rules fire at consecutive
@@ -614,6 +661,52 @@ TEST_F(StorageTest, BatchedFlushRecoversClean) {
   targets.clock = &clock;
   ASSERT_OK_AND_ASSIGN(RecoveryReport report, Recover(dir.string(), targets));
   EXPECT_EQ(report.firings_replayed, 2u);
+  EXPECT_TRUE(report.clean()) << report.ToString();
+}
+
+TEST_F(StorageTest, CascadingActionRecoversClean) {
+  // Two rules fire at one state; the higher-priority action writes a row,
+  // and a third rule fires on the nested state that write appends. The log
+  // must hold both outer decisions before the nested one — the order replay
+  // (which runs no actions) decides them in, state by state.
+  auto setup = [](db::Database* db, rules::RuleEngine* engine) {
+    PTLDB_CHECK_OK(
+        db->CreateTable("log", db::Schema({{"v", ValueType::kInt64}})));
+    PTLDB_CHECK_OK(
+        engine->queries().Register("n", "SELECT COUNT(*) FROM log", {}));
+    auto noop = [](rules::ActionContext&) { return Status::OK(); };
+    auto write = [](rules::ActionContext& ctx) {
+      return ctx.database().InsertRow("log", {Value::Int(1)});
+    };
+    rules::RuleOptions first{.priority = 0, .record_execution = false};
+    rules::RuleOptions second{.priority = 1, .record_execution = false};
+    PTLDB_CHECK_OK(engine->AddTrigger("writer", "@go()", write, first));
+    PTLDB_CHECK_OK(engine->AddTrigger("bystander", "@go()", noop, second));
+    PTLDB_CHECK_OK(engine->AddTrigger("nested", "n() >= 1", noop, second));
+  };
+  fs::path dir = dir_ / "cascade";
+  {
+    SimClock clock;
+    db::Database db(&clock);
+    rules::RuleEngine engine(&db);
+    setup(&db, &engine);
+    CheckpointTargets targets{.db = &db, .engine = &engine, .clock = &clock};
+    DurabilityOptions opts;
+    opts.dir = dir.string();
+    ASSERT_OK_AND_ASSIGN(auto mgr, DurabilityManager::Attach(opts, targets));
+    clock.Advance(1);
+    ASSERT_OK(db.RaiseEvent(event::Event{"go", {}}));
+    ASSERT_EQ(engine.TakeErrors().size(), 0u);
+    ASSERT_EQ(engine.stats().actions_executed, 3u);
+  }
+
+  SimClock clock;
+  db::Database db(&clock);
+  rules::RuleEngine engine(&db);
+  setup(&db, &engine);
+  CheckpointTargets targets{.db = &db, .engine = &engine, .clock = &clock};
+  ASSERT_OK_AND_ASSIGN(RecoveryReport report, Recover(dir.string(), targets));
+  EXPECT_EQ(report.firings_replayed, 3u);
   EXPECT_TRUE(report.clean()) << report.ToString();
 }
 

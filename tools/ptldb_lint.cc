@@ -9,9 +9,9 @@
 // (shared schema with `ptldb-analyze --json`): per rule name/line/condition/
 // boundedness/diagnostics plus a summary block. Exit codes are unchanged.
 //
-// A rule file holds one rule per line: `name := condition` (or a bare
-// condition); `#` comments and blank lines are skipped; a leading `trigger`
-// or `ic` keyword is accepted so shell scripts lint unmodified.
+// A rule file holds one rule per line, in the grammar ptldb-analyze reads
+// (ptl::SplitRuleLines): `[trigger|ic] [name :=] condition [| effects]`;
+// `#` comments and blank lines are skipped. Only conditions are linted.
 //
 // Exit status: 0 clean, 1 any error-severity diagnostic (parse failures,
 // PTL005), 2 bad usage. With --strict, unbounded retained state (PTL001)
