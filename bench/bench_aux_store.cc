@@ -1,16 +1,18 @@
-// E15 — columnar auxiliary stores (DESIGN.md §14) vs the row-oriented layout
-// they replaced. Three long-history shapes mirror the engine's uses:
+// E15 — columnar auxiliary stores (DESIGN.md §14) on three long-history
+// shapes that mirror the engine's uses:
 //
 //   * historical AsOf probes against an N-interval scalar series (the E1
-//     retained-variable read pattern): legacy scans rows, columnar
-//     binary-searches the start column;
+//     retained-variable read pattern), answered by a binary search of the
+//     start column;
 //   * batched retained-formula reads — K sorted timestamps answered in one
-//     GatherAsOf merge pass vs K independent legacy scans (E8-shaped);
-//   * relation reconstruction at historical times against a churned
-//     RelationHistory (E2-shaped retention workload).
+//     GatherAsOf merge pass (E8-shaped);
+//   * relation reconstruction at historical and current times against a
+//     churned RelationHistory (E2-shaped retention workload).
 //
-// Each benchmark also reports retained bytes for both layouts on a
-// string-valued history, where dictionary encoding pays the most.
+// The AsOf benchmarks also report retained bytes on a string-valued history,
+// where dictionary encoding pays the most. The row-oriented layout these
+// stores replaced is gone; its last measured numbers are frozen in
+// EXPERIMENTS.md E15.
 
 #include <benchmark/benchmark.h>
 
@@ -20,7 +22,6 @@
 #include "db/schema.h"
 #include "eval/aux_store.h"
 #include "json_out.h"
-#include "legacy_aux.h"
 #include "workloads.h"
 
 namespace ptldb::bench {
@@ -32,10 +33,9 @@ Value TickValue(int64_t price) {
   return Value::Str("lvl_" + std::to_string(price / 10));
 }
 
-template <typename Series>
-Series BuildSeries(size_t n) {
+eval::ScalarSeries BuildSeries(size_t n) {
   Rng rng(42);
-  Series s;
+  eval::ScalarSeries s;
   std::vector<int64_t> path = PricePath(&rng, n);
   Timestamp now = 0;
   for (size_t i = 0; i < n; ++i) {
@@ -47,16 +47,10 @@ Series BuildSeries(size_t n) {
   return s;
 }
 
-size_t DeepBytesOf(const LegacyScalarSeries& s) { return s.DeepBytes(); }
-size_t DeepBytesOf(const eval::ScalarSeries& s) { return s.EstimateBytes(); }
-size_t DeepBytesOf(const LegacyRelationHistory& h) { return h.DeepBytes(); }
-size_t DeepBytesOf(const eval::RelationHistory& h) {
-  return h.EstimateBytes();
-}
-
-template <typename Series>
-void RunScalarAsOf(benchmark::State& state, const Series& series,
-                   Timestamp span) {
+void BM_ScalarAsOf_Columnar(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const eval::ScalarSeries series = BuildSeries(n);
+  const Timestamp span = static_cast<Timestamp>(2 * n);
   Rng rng(7);
   size_t found = 0;
   for (auto _ : state) {
@@ -66,46 +60,15 @@ void RunScalarAsOf(benchmark::State& state, const Series& series,
   }
   benchmark::DoNotOptimize(found);
   state.counters["retained_bytes"] =
-      benchmark::Counter(static_cast<double>(DeepBytesOf(series)));
-}
-
-void BM_ScalarAsOf_Legacy(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto series = BuildSeries<LegacyScalarSeries>(n);
-  RunScalarAsOf(state, series, static_cast<Timestamp>(2 * n));
-}
-
-void BM_ScalarAsOf_Columnar(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto series = BuildSeries<eval::ScalarSeries>(n);
-  RunScalarAsOf(state, series, static_cast<Timestamp>(2 * n));
+      benchmark::Counter(static_cast<double>(series.EstimateBytes()));
 }
 
 // Batched retained-formula read: K ascending timestamps per evaluation pass.
 constexpr size_t kBatch = 256;
 
-void BM_ScalarGather_Legacy(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto series = BuildSeries<LegacyScalarSeries>(n);
-  std::vector<Timestamp> ts;
-  for (size_t i = 0; i < kBatch; ++i) {
-    // First record lands at t <= 3, so every probe hits recorded history.
-    ts.push_back(static_cast<Timestamp>(3 + i * (2 * n - 8) / kBatch));
-  }
-  size_t found = 0;
-  for (auto _ : state) {
-    for (Timestamp t : ts) {
-      auto r = series.AsOf(t);
-      if (r.ok()) ++found;
-    }
-  }
-  benchmark::DoNotOptimize(found);
-  state.counters["batch"] = benchmark::Counter(kBatch);
-}
-
 void BM_ScalarGather_Columnar(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
-  auto series = BuildSeries<eval::ScalarSeries>(n);
+  const eval::ScalarSeries series = BuildSeries(n);
   std::vector<Timestamp> ts;
   for (size_t i = 0; i < kBatch; ++i) {
     // First record lands at t <= 3, so every probe hits recorded history.
@@ -123,12 +86,18 @@ void BM_ScalarGather_Columnar(benchmark::State& state) {
   state.counters["batch"] = benchmark::Counter(kBatch);
 }
 
+const db::Schema& BenchSchema() {
+  static const db::Schema schema({{"sym", ValueType::kString},
+                                  {"qty", ValueType::kInt64}});
+  return schema;
+}
+
 // Relation churn: a small hot set of symbols whose membership flips over
 // time, then historical reconstructions.
-template <typename History>
-History BuildHistory(size_t n, const db::Schema& schema) {
+eval::RelationHistory BuildHistory(size_t n) {
+  const db::Schema& schema = BenchSchema();
   Rng rng(99);
-  History h(schema);
+  eval::RelationHistory h(schema);
   Timestamp now = 0;
   std::vector<bool> present(16, false);
   for (size_t i = 0; i < n; ++i) {
@@ -146,9 +115,10 @@ History BuildHistory(size_t n, const db::Schema& schema) {
   return h;
 }
 
-template <typename History>
-void RunRelationAsOf(benchmark::State& state, const History& history,
-                     Timestamp span) {
+void BM_RelationAsOf_Columnar(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const eval::RelationHistory history = BuildHistory(n);
+  const Timestamp span = static_cast<Timestamp>(2 * n);
   Rng rng(5);
   size_t rows = 0;
   for (auto _ : state) {
@@ -158,33 +128,15 @@ void RunRelationAsOf(benchmark::State& state, const History& history,
   }
   benchmark::DoNotOptimize(rows);
   state.counters["retained_bytes"] =
-      benchmark::Counter(static_cast<double>(DeepBytesOf(history)));
-}
-
-const db::Schema& BenchSchema() {
-  static const db::Schema schema({{"sym", ValueType::kString},
-                                  {"qty", ValueType::kInt64}});
-  return schema;
-}
-
-void BM_RelationAsOf_Legacy(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto history = BuildHistory<LegacyRelationHistory>(n, BenchSchema());
-  RunRelationAsOf(state, history, static_cast<Timestamp>(2 * n));
-}
-
-void BM_RelationAsOf_Columnar(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto history = BuildHistory<eval::RelationHistory>(n, BenchSchema());
-  RunRelationAsOf(state, history, static_cast<Timestamp>(2 * n));
+      benchmark::Counter(static_cast<double>(history.EstimateBytes()));
 }
 
 // Current-state reads: the engine's dominant pattern (conditions evaluate at
-// `now`). The columnar fast path scans only the end column of the live
-// window; legacy still walks every stamped row ever recorded.
-template <typename History>
-void RunRelationCurrent(benchmark::State& state, const History& history,
-                        Timestamp now) {
+// `now`). The fast path scans only the end column of the live window.
+void BM_RelationCurrent_Columnar(benchmark::State& state) {
+  const size_t n = static_cast<size_t>(state.range(0));
+  const eval::RelationHistory history = BuildHistory(n);
+  const Timestamp now = static_cast<Timestamp>(2 * n);
   size_t rows = 0;
   for (auto _ : state) {
     auto r = history.AsOf(now);
@@ -193,41 +145,13 @@ void RunRelationCurrent(benchmark::State& state, const History& history,
   benchmark::DoNotOptimize(rows);
 }
 
-void BM_RelationCurrent_Legacy(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto history = BuildHistory<LegacyRelationHistory>(n, BenchSchema());
-  RunRelationCurrent(state, history, static_cast<Timestamp>(2 * n));
-}
-
-void BM_RelationCurrent_Columnar(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  auto history = BuildHistory<eval::RelationHistory>(n, BenchSchema());
-  RunRelationCurrent(state, history, static_cast<Timestamp>(2 * n));
-}
-
-BENCHMARK(BM_ScalarAsOf_Legacy)->Arg(1000)->Arg(10000)->Arg(100000);
 BENCHMARK(BM_ScalarAsOf_Columnar)->Arg(1000)->Arg(10000)->Arg(100000);
-BENCHMARK(BM_ScalarGather_Legacy)
-    ->Arg(1000)
-    ->Arg(10000)
-    ->Arg(100000)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_ScalarGather_Columnar)
     ->Arg(1000)
     ->Arg(10000)
     ->Arg(100000)
     ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_RelationAsOf_Legacy)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Arg(16000)
-    ->Unit(benchmark::kMicrosecond);
 BENCHMARK(BM_RelationAsOf_Columnar)
-    ->Arg(1000)
-    ->Arg(4000)
-    ->Arg(16000)
-    ->Unit(benchmark::kMicrosecond);
-BENCHMARK(BM_RelationCurrent_Legacy)
     ->Arg(1000)
     ->Arg(4000)
     ->Arg(16000)

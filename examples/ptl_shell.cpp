@@ -201,7 +201,9 @@ class Shell {
           "  trim <t>         drop archived history ending at or before t\n"
           "  offline          re-check all rules over the committed history\n"
           "                   and diff the verdicts against the online run\n"
-          "  describe <rule> | rules | history | help | quit\n");
+          "  history          the collapsed committed history (commit points\n"
+          "                   and event states) the offline check replays\n"
+          "  describe <rule> | rules | help | quit\n");
       return true;
     }
     if (cmd == "create") return CmdCreate(rest);
@@ -289,10 +291,7 @@ class Shell {
       return true;
     }
     if (cmd == "stats") return CmdStats(rest);
-    if (cmd == "history") {
-      std::printf("%s", database_.history().ToString().c_str());
-      return true;
-    }
+    if (cmd == "history") return CmdHistory();
     std::printf("unknown command '%s' (try 'help')\n", cmd.c_str());
     return true;
   }
@@ -653,6 +652,15 @@ class Shell {
                   static_cast<long long>(*t));
     } else {
       Report(s);
+    }
+    return true;
+  }
+
+  bool CmdHistory() {
+    for (const temporal::CommitPoint& p : temporal_.commit_log()) {
+      const event::SystemState s{p.seq, p.time, p.events};
+      std::printf("%s %s\n", p.is_commit ? "commit" : "event ",
+                  s.ToString().c_str());
     }
     return true;
   }

@@ -23,10 +23,11 @@ Timestamp Database::NextTimestamp() const {
 
 void Database::AppendState(std::vector<event::Event> events,
                            const std::vector<RedoDelta>* deltas) {
-  history_.Append(NextTimestamp(), std::move(events));
-  if (wal_sink_ != nullptr) wal_sink_->OnStateAppended(history_.back());
-  NotifyTemporalSink(history_.back(), deltas);
-  if (listener_ != nullptr) listener_->OnStateAppended(history_.back());
+  const event::SystemState state =
+      history_.Append(NextTimestamp(), std::move(events));
+  if (wal_sink_ != nullptr) wal_sink_->OnStateAppended(state);
+  NotifyTemporalSink(state, deltas);
+  if (listener_ != nullptr) listener_->OnStateAppended(state);
 }
 
 void Database::NotifyTemporalSink(const event::SystemState& state,
@@ -342,11 +343,11 @@ Status Database::ReplayState(Timestamp time, std::vector<event::Event> events,
       next_txn_id_ = e.params[0].AsInt() + 1;
     }
   }
-  history_.Append(time, std::move(events));
+  const event::SystemState state = history_.Append(time, std::move(events));
   // The version store rebuilds its post-checkpoint archive from replayed
   // deltas, exactly as it would have seen them live.
-  NotifyTemporalSink(history_.back(), &deltas);
-  if (listener_ != nullptr) listener_->OnStateAppended(history_.back());
+  NotifyTemporalSink(state, &deltas);
+  if (listener_ != nullptr) listener_->OnStateAppended(state);
   return Status::OK();
 }
 

@@ -1,12 +1,13 @@
 // Database: the active-database engine facade.
 //
-// Owns the catalog, the system history (§2 model), and open transactions.
-// Every change flows through a transaction; single-statement convenience
-// helpers open and commit one implicitly. A registered `Listener` (the rule
-// engine's temporal component) is consulted at commit attempts — returning a
-// ConstraintViolation status aborts the transaction, which is exactly how the
-// paper's integrity constraints (rules whose action is abort(X)) execute —
-// and is notified of every appended system state so triggers can be evaluated.
+// Owns the catalog, the system history's position (§2 model), and open
+// transactions. Every change flows through a transaction; single-statement
+// convenience helpers open and commit one implicitly. A registered `Listener`
+// (the rule engine's temporal component) is consulted at commit attempts —
+// returning a ConstraintViolation status aborts the transaction, which is
+// exactly how the paper's integrity constraints (rules whose action is
+// abort(X)) execute — and is notified of every appended system state so
+// triggers can be evaluated.
 //
 // Concurrency: the paper's model serializes commits (at most one commit event
 // per system state); this engine is single-threaded by design.

@@ -2,6 +2,7 @@
 
 #include "common/logging.h"
 #include "common/strings.h"
+#include "common/trace.h"
 
 namespace ptldb::eval {
 
@@ -709,6 +710,31 @@ std::string IncrementalEvaluator::DebugString() const {
   }
   out += StrCat("  live nodes: ", LiveNodeCount(),
                 ", store nodes: ", graph_->num_nodes(), "\n");
+  return out;
+}
+
+json::Json WitnessChainToJson(
+    const std::vector<IncrementalEvaluator::WitnessLink>& chain) {
+  json::Json out = json::Json::Array();
+  for (const auto& link : chain) {
+    json::Json l = json::Json::Object();
+    l.Set("op", json::Json::Str(link.op));
+    l.Set("subformula", json::Json::Str(link.subformula));
+    l.Set("retained", json::Json::Str(link.retained));
+    l.Set("anchor_seq", json::Json::Int(link.anchor_seq));
+    l.Set("anchor_time", json::Json::Int(link.anchor_time));
+    if (!link.bindings.empty()) {
+      json::Json binds = json::Json::Array();
+      for (const auto& b : link.bindings) {
+        json::Json bj = json::Json::Object();
+        bj.Set("var", json::Json::Str(b.var));
+        bj.Set("value", trace::EncodeValue(b.value));
+        binds.Add(std::move(bj));
+      }
+      l.Set("bindings", std::move(binds));
+    }
+    out.Add(std::move(l));
+  }
   return out;
 }
 

@@ -30,6 +30,7 @@
 #include <string>
 #include <vector>
 
+#include "common/json.h"
 #include "common/status.h"
 #include "eval/graph.h"
 #include "ptl/analyzer.h"
@@ -297,6 +298,12 @@ class IncrementalEvaluator {
   std::vector<Anchor> anchors_;
 };
 
+/// The JSON array of a witness chain, shared by the rule engine's firing
+/// records and the valid-time layer's `vt_fire` records: one object per link
+/// with `op`, `subformula`, `retained`, `anchor_seq`, `anchor_time` and, when
+/// the link has any, `bindings` (`var` plus a trace-encoded `value`).
+json::Json WitnessChainToJson(
+    const std::vector<IncrementalEvaluator::WitnessLink>& chain);
 
 }  // namespace ptldb::eval
 

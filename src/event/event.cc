@@ -75,7 +75,7 @@ std::string SystemState::ToString() const {
   return StrCat("[#", seq, " t=", time, " {", Join(parts, ", "), "}]");
 }
 
-void History::Append(Timestamp time, std::vector<Event> events) {
+SystemState History::Append(Timestamp time, std::vector<Event> events) {
   if (!empty()) {
     PTLDB_CHECK(time > last_time_ &&
                 "system state timestamps must be strictly increasing");
@@ -86,32 +86,17 @@ void History::Append(Timestamp time, std::vector<Event> events) {
   }
   PTLDB_CHECK(commits <= 1 && "at most one transaction commit per state");
   SystemState s;
-  s.seq = size();
+  s.seq = size_++;
   s.time = time;
   s.events = std::move(events);
-  states_.push_back(std::move(s));
   last_time_ = time;
-}
-
-const SystemState& History::state(size_t i) const {
-  PTLDB_CHECK(i >= base_seq_ &&
-              "state truncated by a checkpoint is no longer in memory");
-  return states_[i - base_seq_];
+  return s;
 }
 
 void History::Reset(size_t base_seq, Timestamp last_time) {
-  states_.clear();
+  size_ = base_seq;
   base_seq_ = base_seq;
   last_time_ = last_time;
-}
-
-std::string History::ToString() const {
-  std::string out;
-  for (const SystemState& s : states_) {
-    out += s.ToString();
-    out += "\n";
-  }
-  return out;
 }
 
 }  // namespace ptldb::event

@@ -74,41 +74,37 @@ struct SystemState {
   std::string ToString() const;
 };
 
-/// A finite sequence of system states with the paper's invariants: strictly
-/// increasing timestamps and at most one commit event per state.
+/// The position of a finite sequence of system states, with the paper's
+/// invariants: strictly increasing timestamps and at most one commit event
+/// per state.
 ///
-/// A history may start from a checkpoint base (`Reset`): states before
-/// `base_seq()` were appended in a previous process incarnation and are no
-/// longer held in memory, but `size()` and state seq numbers continue the
-/// global numbering, so formulas' state indexes survive a restart.
+/// No state is retained: `Append` stamps the new state and hands it back for
+/// the caller to pass on (WAL, version store, temporal component). The
+/// collapsed committed history the §9 offline check replays is kept by the
+/// version store. A history may start from a checkpoint base (`Reset`), so
+/// `size()` and state seq numbers continue the global numbering and
+/// formulas' state indexes survive a restart.
 class History {
  public:
-  /// Appends a state; enforces the model invariants (PTLDB_CHECK).
-  void Append(Timestamp time, std::vector<Event> events);
+  /// Appends a state and returns it; enforces the model invariants
+  /// (PTLDB_CHECK).
+  SystemState Append(Timestamp time, std::vector<Event> events);
 
-  /// Total states ever appended (including the truncated prefix).
-  size_t size() const { return base_seq_ + states_.size(); }
-  bool empty() const { return size() == 0; }
-  /// The state with global seq `i`; must satisfy i >= base_seq().
-  const SystemState& state(size_t i) const;
-  const SystemState& back() const { return states_.back(); }
-  /// The in-memory suffix (seq base_seq() .. size()-1).
-  const std::vector<SystemState>& states() const { return states_; }
+  /// Total states ever appended (including those before a checkpoint base).
+  size_t size() const { return size_; }
+  bool empty() const { return size_ == 0; }
 
   size_t base_seq() const { return base_seq_; }
-  /// Timestamp of the last appended state (0 when empty). Valid even when
-  /// the in-memory suffix is empty but base_seq() > 0.
+  /// Timestamp of the last appended state (0 when empty).
   Timestamp last_time() const { return last_time_; }
 
-  /// Checkpoint restore: drops any in-memory states and positions the
-  /// history at global seq `base_seq` with last timestamp `last_time`, as if
-  /// `base_seq` states ending at `last_time` had been appended.
+  /// Checkpoint restore: positions the history at global seq `base_seq` with
+  /// last timestamp `last_time`, as if `base_seq` states ending at
+  /// `last_time` had been appended.
   void Reset(size_t base_seq, Timestamp last_time);
 
-  std::string ToString() const;
-
  private:
-  std::vector<SystemState> states_;
+  size_t size_ = 0;
   size_t base_seq_ = 0;
   Timestamp last_time_ = 0;
 };

@@ -19,27 +19,7 @@ json::Json WitnessToJson(const Witness& w) {
   doc.Set("condition", json::Json::Str(w.condition));
   doc.Set("seq", json::Json::Int(w.seq));
   doc.Set("time", json::Json::Int(w.time));
-  json::Json chain = json::Json::Array();
-  for (const auto& link : w.chain) {
-    json::Json l = json::Json::Object();
-    l.Set("op", json::Json::Str(link.op));
-    l.Set("subformula", json::Json::Str(link.subformula));
-    l.Set("retained", json::Json::Str(link.retained));
-    l.Set("anchor_seq", json::Json::Int(link.anchor_seq));
-    l.Set("anchor_time", json::Json::Int(link.anchor_time));
-    if (!link.bindings.empty()) {
-      json::Json binds = json::Json::Array();
-      for (const auto& b : link.bindings) {
-        json::Json bj = json::Json::Object();
-        bj.Set("var", json::Json::Str(b.var));
-        bj.Set("value", trace::EncodeValue(b.value));
-        binds.Add(std::move(bj));
-      }
-      l.Set("bindings", std::move(binds));
-    }
-    chain.Add(std::move(l));
-  }
-  doc.Set("chain", std::move(chain));
+  doc.Set("chain", eval::WitnessChainToJson(w.chain));
   return doc;
 }
 

@@ -289,7 +289,7 @@ Result<ptl::StateSnapshot> VtDatabase::SnapshotFor(
 }
 
 void VtDatabase::RecordFire(const Monitor& m, size_t idx) {
-  // Mirrors the engine's witness encoding, but under its own "vt_fire" kind:
+  // The engine's witness chain encoding, under its own "vt_fire" kind:
   // TraceReplay skips it (valid-time replays revisit states, so the records
   // are not a linear history), yet the chain still explains the firing.
   json::Json doc = json::Json::Object();
@@ -300,27 +300,7 @@ void VtDatabase::RecordFire(const Monitor& m, size_t idx) {
   doc.Set("seq",
           json::Json::Int(static_cast<int64_t>(compacted_states_ + idx)));
   doc.Set("time", json::Json::Int(states_[idx].time));
-  json::Json chain = json::Json::Array();
-  for (const auto& link : m.ev.WitnessChain()) {
-    json::Json l = json::Json::Object();
-    l.Set("op", json::Json::Str(link.op));
-    l.Set("subformula", json::Json::Str(link.subformula));
-    l.Set("retained", json::Json::Str(link.retained));
-    l.Set("anchor_seq", json::Json::Int(link.anchor_seq));
-    l.Set("anchor_time", json::Json::Int(link.anchor_time));
-    if (!link.bindings.empty()) {
-      json::Json binds = json::Json::Array();
-      for (const auto& b : link.bindings) {
-        json::Json bj = json::Json::Object();
-        bj.Set("var", json::Json::Str(b.var));
-        bj.Set("value", trace::EncodeValue(b.value));
-        binds.Add(std::move(bj));
-      }
-      l.Set("bindings", std::move(binds));
-    }
-    chain.Add(std::move(l));
-  }
-  doc.Set("chain", std::move(chain));
+  doc.Set("chain", eval::WitnessChainToJson(m.ev.WitnessChain()));
   trace_->RecordUpdate(std::move(doc));
 }
 

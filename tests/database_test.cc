@@ -57,13 +57,14 @@ TEST_F(DatabaseTest, CommitAppliesAndEmitsEvents) {
 
   EXPECT_EQ(StockCount(), 1u);
   ASSERT_EQ(db_.history().size(), 2u);  // begin state + commit state
-  const event::SystemState& commit = db_.history().state(1);
+  ASSERT_EQ(listener_.states.size(), 2u);
+  const event::SystemState& commit = listener_.states[1];
+  EXPECT_EQ(commit.seq, 1u);
   EXPECT_TRUE(commit.HasEvent(event::kAttemptsToCommitEvent, {Value::Int(txn)}));
   EXPECT_TRUE(commit.HasEvent(event::kCommitEvent, {Value::Int(txn)}));
   EXPECT_TRUE(commit.HasEvent(event::kInsertEvent, {Value::Str("stock")}));
   EXPECT_TRUE(commit.IsCommitPoint());
   EXPECT_EQ(listener_.attempts.size(), 1u);
-  EXPECT_EQ(listener_.states.size(), 2u);
 }
 
 TEST_F(DatabaseTest, AbortRollsBackInserts) {
@@ -72,7 +73,8 @@ TEST_F(DatabaseTest, AbortRollsBackInserts) {
   EXPECT_EQ(StockCount(), 1u);  // transaction reads its own writes
   ASSERT_OK(db_.Abort(txn));
   EXPECT_EQ(StockCount(), 0u);
-  EXPECT_TRUE(db_.history().back().HasEvent(event::kAbortEvent));
+  ASSERT_FALSE(listener_.states.empty());
+  EXPECT_TRUE(listener_.states.back().HasEvent(event::kAbortEvent));
   EXPECT_TRUE(listener_.attempts.empty());
 }
 
@@ -83,7 +85,8 @@ TEST_F(DatabaseTest, VetoAbortsAndRollsBack) {
   Status s = db_.Commit(txn);
   EXPECT_EQ(s.code(), StatusCode::kTransactionAborted);
   EXPECT_EQ(StockCount(), 0u);
-  EXPECT_TRUE(db_.history().back().HasEvent(event::kAbortEvent));
+  ASSERT_FALSE(listener_.states.empty());
+  EXPECT_TRUE(listener_.states.back().HasEvent(event::kAbortEvent));
   // The prospective state showed the commit the listener could veto.
   EXPECT_TRUE(
       listener_.last_prospective.HasEvent(event::kAttemptsToCommitEvent));
@@ -114,16 +117,20 @@ TEST_F(DatabaseTest, TimestampsStrictlyIncreaseEvenIfClockStalls) {
   // Clock stays at 0 the whole time.
   ASSERT_OK(db_.InsertRow("stock", {Value::Str("A"), Value::Real(1)}));
   ASSERT_OK(db_.InsertRow("stock", {Value::Str("B"), Value::Real(2)}));
-  const auto& h = db_.history();
-  for (size_t i = 1; i < h.size(); ++i) {
-    EXPECT_GT(h.state(i).time, h.state(i - 1).time);
+  const std::vector<event::SystemState>& states = listener_.states;
+  ASSERT_EQ(states.size(), db_.history().size());
+  for (size_t i = 1; i < states.size(); ++i) {
+    EXPECT_EQ(states[i].seq, i);
+    EXPECT_GT(states[i].time, states[i - 1].time);
   }
+  EXPECT_EQ(db_.history().last_time(), states.back().time);
 }
 
 TEST_F(DatabaseTest, RaiseEventAppendsState) {
   ASSERT_OK(db_.RaiseEvent(event::Event{"login", {Value::Str("alice")}}));
   EXPECT_EQ(db_.history().size(), 1u);
-  EXPECT_TRUE(db_.history().back().HasEvent("login", {Value::Str("alice")}));
+  ASSERT_EQ(listener_.states.size(), 1u);
+  EXPECT_TRUE(listener_.states.back().HasEvent("login", {Value::Str("alice")}));
 }
 
 TEST_F(DatabaseTest, UnknownTransactionIsError) {
@@ -137,7 +144,8 @@ TEST_F(DatabaseTest, FailedAutoInsertLeavesCleanState) {
   Status s = db_.InsertRow("stock", {Value::Int(3), Value::Real(1)});
   EXPECT_FALSE(s.ok());
   EXPECT_EQ(StockCount(), 0u);
-  EXPECT_TRUE(db_.history().back().HasEvent(event::kAbortEvent));
+  ASSERT_FALSE(listener_.states.empty());
+  EXPECT_TRUE(listener_.states.back().HasEvent(event::kAbortEvent));
 }
 
 TEST_F(DatabaseTest, DeleteRowsConvenience) {
@@ -157,6 +165,33 @@ TEST(HistoryTest, EventFactoriesAndMatching) {
   EXPECT_TRUE(s.HasEvent("insert", {Value::Str("t")}));  // prefix match
   EXPECT_FALSE(s.HasEvent("delete"));
   EXPECT_TRUE(s.IsCommitPoint());
+}
+
+TEST(HistoryTest, AppendReturnsTheStateAndKeepsOnlyThePosition) {
+  event::History h;
+  event::SystemState first = h.Append(5, {event::TransactionBegin(1)});
+  EXPECT_EQ(first.seq, 0u);
+  EXPECT_EQ(first.time, 5);
+  event::SystemState second = h.Append(9, {event::TransactionCommit(1)});
+  EXPECT_EQ(second.seq, 1u);
+  EXPECT_TRUE(second.IsCommitPoint());
+  EXPECT_EQ(h.size(), 2u);
+  EXPECT_EQ(h.last_time(), 9);
+
+  // A checkpoint restore continues the global numbering.
+  h.Reset(100, 50);
+  EXPECT_EQ(h.size(), 100u);
+  EXPECT_EQ(h.base_seq(), 100u);
+  EXPECT_EQ(h.Append(51, {}).seq, 100u);
+}
+
+TEST(HistoryTest, InvariantChecksFire) {
+  event::History h;
+  (void)h.Append(10, {});
+  EXPECT_DEATH((void)h.Append(10, {}), "strictly increasing");
+  EXPECT_DEATH((void)h.Append(11, {event::TransactionCommit(1),
+                                   event::TransactionCommit(2)}),
+               "at most one transaction commit");
 }
 
 }  // namespace

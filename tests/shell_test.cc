@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <sstream>
 #include <string>
 
 #include "common/json.h"
@@ -109,6 +110,36 @@ TEST(ShellTest, StatsJsonIsValidJson) {
   for (const char* key : {"counters", "gauges", "histograms"}) {
     EXPECT_NE(doc->Find(key), nullptr) << key;
   }
+}
+
+TEST(ShellTest, HistoryPrintsTheCollapsedCommittedHistory) {
+  std::string out = RunShell(
+      "create stock name:string key price:double\n"
+      "insert stock 'IBM' 40\n"
+      "query price SELECT price FROM stock WHERE name = $p1\n"
+      "ic cap := price('IBM') <= 100\n"
+      "update stock price 150 WHERE name = 'IBM'\n"
+      "event login 'alice'\n"
+      "update stock price 60 WHERE name = 'IBM'\n"
+      "history\n"
+      "quit\n");
+  size_t commits = 0;
+  size_t events = 0;
+  std::istringstream lines(out);
+  for (std::string line; std::getline(lines, line);) {
+    if (line.rfind("commit [#", 0) == 0) {
+      ++commits;
+      EXPECT_NE(line.find("commit("), std::string::npos) << line;
+    } else if (line.rfind("event  [#", 0) == 0) {
+      ++events;
+      EXPECT_NE(line.find("login("), std::string::npos) << line;
+    }
+  }
+  // The insert and the accepted update are commit points; the raised event
+  // is an event state; the vetoed update's begin/abort states are dropped.
+  EXPECT_EQ(commits, 2u) << out;
+  EXPECT_EQ(events, 1u) << out;
+  EXPECT_EQ(out.find("abort("), std::string::npos) << out;
 }
 
 TEST(ShellTest, WhyExplainsFiringsAndRejectsUnknownOrNeverFired) {

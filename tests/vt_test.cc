@@ -3,6 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <optional>
+#include <sstream>
+#include <string>
+
+#include "common/json.h"
 #include "common/trace.h"
 #include "rules/provenance.h"
 #include "testutil.h"
@@ -427,17 +432,67 @@ TEST(VtDatabaseTest, TraceRecordsReplaySpansAndFireWitnesses) {
   int fired = 0;
   ASSERT_OK(db.AddTentativeTrigger("high", "IBM() > 60",
                                    [&fired](Timestamp) { ++fired; }));
+  // A binder over a temporal subformula: its firings carry a chain link
+  // with bindings.
+  int rose = 0;
+  ASSERT_OK(db.AddTentativeTrigger("rise",
+                                   "[x := IBM()] PREVIOUSLY IBM() < x - 10",
+                                   [&rose](Timestamp) { ++rose; }));
   CommitUpdate(db, clock, 10, "IBM", Value::Int(50), 10);
   CommitUpdate(db, clock, 20, "IBM", Value::Int(70), 20);
   // Retroactive change re-runs the suffix: another kVtReplay span.
   CommitUpdate(db, clock, 30, "IBM", Value::Int(65), 15);
   EXPECT_GT(fired, 0);
+  EXPECT_GT(rose, 0);
 
   std::string jsonl = rec.ToJsonl();
   EXPECT_NE(jsonl.find("\"vt_fire\""), std::string::npos) << jsonl;
   EXPECT_NE(jsonl.find("\"monitor\":\"high\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"mode\":\"tentative\""), std::string::npos);
   EXPECT_NE(jsonl.find("\"chain\""), std::string::npos);
+
+  // The first `rise` firing's chain link, field by field.
+  std::optional<json::Json> link;
+  std::istringstream lines(jsonl);
+  for (std::string line; !link && std::getline(lines, line);) {
+    ASSERT_OK_AND_ASSIGN(json::Json doc, json::Parse(line));
+    const json::Json* kind = doc.Find("kind");
+    const json::Json* monitor = doc.Find("monitor");
+    if (kind == nullptr || kind->AsString() != "vt_fire" ||
+        monitor == nullptr || monitor->AsString() != "rise") {
+      continue;
+    }
+    ASSERT_OK_AND_ASSIGN(const json::Json* chain, doc.Get("chain"));
+    ASSERT_TRUE(chain->is_array());
+    ASSERT_EQ(chain->size(), 1u) << line;
+    link = chain->items()[0];
+  }
+  ASSERT_TRUE(link.has_value()) << jsonl;
+  ASSERT_OK_AND_ASSIGN(const json::Json* op, link->Get("op"));
+  EXPECT_EQ(op->AsString(), "previously");
+  ASSERT_OK_AND_ASSIGN(const json::Json* sub, link->Get("subformula"));
+  EXPECT_EQ(sub->AsString(), "PREVIOUSLY (IBM() < (x - 10))");
+  ASSERT_OK_AND_ASSIGN(const json::Json* retained, link->Get("retained"));
+  EXPECT_TRUE(retained->is_string());
+  EXPECT_FALSE(retained->AsString().empty());
+  ASSERT_OK_AND_ASSIGN(const json::Json* anchor_seq, link->Get("anchor_seq"));
+  ASSERT_OK_AND_ASSIGN(int64_t seq, anchor_seq->AsInt64());
+  ASSERT_OK_AND_ASSIGN(const json::Json* anchor_time,
+                       link->Get("anchor_time"));
+  ASSERT_OK_AND_ASSIGN(int64_t time, anchor_time->AsInt64());
+  // The binder sits outside PREVIOUSLY, so the retained formula stays open
+  // in x and no anchor exists; the link reports the firing-state binding.
+  EXPECT_EQ(seq, -1);
+  EXPECT_EQ(time, 0);
+  ASSERT_OK_AND_ASSIGN(const json::Json* binds, link->Get("bindings"));
+  ASSERT_TRUE(binds->is_array());
+  ASSERT_EQ(binds->size(), 1u);
+  const json::Json& bind = binds->items()[0];
+  ASSERT_OK_AND_ASSIGN(const json::Json* var, bind.Get("var"));
+  EXPECT_EQ(var->AsString(), "x");
+  ASSERT_OK_AND_ASSIGN(const json::Json* value, bind.Get("value"));
+  ASSERT_OK_AND_ASSIGN(Value bound, trace::DecodeValue(*value));
+  EXPECT_EQ(bound, Value::Int(70));
   std::string chrome = rec.ToChromeTrace();
   EXPECT_NE(chrome.find("vt_replay"), std::string::npos) << chrome;
 
