@@ -22,7 +22,6 @@
 
 using namespace ptldb;
 using validtime::VtDatabase;
-using validtime::VtHistory;
 using validtime::VtState;
 
 int main() {
@@ -89,14 +88,15 @@ int main() {
               *offline ? "yes" : "no");
 
   std::printf("\n== Theorem 2: collapse to transaction time ==\n");
-  VtHistory collapsed = db2.CollapsedCommittedHistory();
+  auto collapsed = db2.CollapsedCommittedHistory();
+  PTLDB_CHECK(collapsed.ok());
   SimClock clock3(0);
   VtDatabase db3(&clock3, 0);
-  for (const VtState& s : collapsed) {
+  for (const VtState& s : *collapsed) {
     clock3.Set(s.time);
     auto txn = db3.Begin();
     PTLDB_CHECK(txn.ok());
-    for (const auto& [item, value] : s.updates) {
+    for (const auto& [tag, item, value] : s.updates) {
       PTLDB_CHECK_OK(db3.Update(*txn, item, value, s.time));
     }
     PTLDB_CHECK_OK(db3.Commit(*txn));

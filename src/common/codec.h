@@ -2,7 +2,7 @@
 //
 // Fixed-width little-endian encoding with length-prefixed strings, written
 // into / read out of contiguous byte buffers. Lives in `common` (below every
-// other layer) so db/eval/rules/validtime can expose Serialize/Deserialize
+// other layer) so db/eval/rules can expose Serialize/Deserialize
 // hooks without depending on `storage`. The framing above these primitives
 // (record length prefixes, CRCs, file headers) belongs to src/storage.
 //

@@ -657,49 +657,6 @@ Status IncrementalEvaluator::RestoreState(codec::Reader* r) {
   return Status::OK();
 }
 
-void IncrementalEvaluator::SerializeCheckpoint(const Checkpoint& cp,
-                                               codec::Writer* w) const {
-  w->U64(cp.generation);
-  w->U64(cp.steps);
-  w->Bool(cp.last_fired);
-  w->U32(static_cast<uint32_t>(cp.mem.size()));
-  for (NodeId m : cp.mem) w->U32(m);
-  w->U32(static_cast<uint32_t>(cp.machines.size()));
-  for (const AggMachineState& m : cp.machines) SerializeMachine(m, w);
-}
-
-Result<IncrementalEvaluator::Checkpoint>
-IncrementalEvaluator::DeserializeCheckpoint(codec::Reader* r) const {
-  Checkpoint cp;
-  PTLDB_ASSIGN_OR_RETURN(cp.generation, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(cp.steps, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(cp.last_fired, r->Bool());
-  PTLDB_ASSIGN_OR_RETURN(uint32_t num_mem, r->U32());
-  if (num_mem != mem_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint dump has a different number of temporal subformulas");
-  }
-  cp.mem.resize(num_mem);
-  for (NodeId& m : cp.mem) {
-    PTLDB_ASSIGN_OR_RETURN(m, r->U32());
-    if (m >= graph_->num_nodes()) {
-      return Status::InvalidArgument("checkpoint dump: mem slot out of range");
-    }
-  }
-  PTLDB_ASSIGN_OR_RETURN(uint32_t num_machines, r->U32());
-  if (num_machines != machines_.size()) {
-    return Status::InvalidArgument(
-        "checkpoint dump has a different number of aggregate machines");
-  }
-  // Seed each machine with the compiled static configuration so the dump's
-  // statics are validated against it.
-  cp.machines = machines_;
-  for (AggMachineState& m : cp.machines) {
-    PTLDB_RETURN_IF_ERROR(DeserializeMachineInto(r, &m));
-  }
-  return cp;
-}
-
 std::string IncrementalEvaluator::DebugString() const {
   std::string out = StrCat("IncrementalEvaluator after ", steps_, " steps:\n");
   for (const Unit& u : units_) {

@@ -191,12 +191,6 @@ class IncrementalEvaluator {
   /// match, otherwise InvalidArgument.
   Status RestoreState(codec::Reader* r);
 
-  /// Serializes one saved Checkpoint alongside the state of SerializeState
-  /// (its NodeIds reference the same graph dump). The valid-time monitors
-  /// persist their per-state checkpoints this way.
-  void SerializeCheckpoint(const Checkpoint& cp, codec::Writer* w) const;
-  Result<Checkpoint> DeserializeCheckpoint(codec::Reader* r) const;
-
   // ---- Introspection / GC ----
 
   /// Distinct graph nodes reachable from the retained state (experiment E2's

@@ -26,6 +26,17 @@ db::Tuple InitialAggRow() {
           Value::Null()};
 }
 
+// The row of an auxiliary aggregate item. The table is an ordinary one, so
+// SQL DELETE can remove the row; that is an error, not a crash.
+Result<const db::Tuple*> AggRow(const db::Table& table) {
+  if (table.rows().empty()) {
+    return Status::NotFound(StrCat("aggregate item table '", table.name(),
+                                   "' holds ", table.rows().size(),
+                                   " rows; its state row was deleted"));
+  }
+  return &table.rows()[0];
+}
+
 // Collects the event names a condition mentions and whether it uses
 // Lasttime, without requiring parameter substitution (used for the §8
 // relevance index, including for rule families).
@@ -455,7 +466,8 @@ Status RuleEngine::MaterializeRewrite(const std::string& rule_name,
                                  static_cast<const db::Database*>(db)
                                      ->catalog()
                                      .GetTable(table_name));
-          const db::Tuple& row = t->rows()[0];
+          PTLDB_ASSIGN_OR_RETURN(const db::Tuple* row_ptr, AggRow(*t));
+          const db::Tuple& row = *row_ptr;
           const Value& sum = row[1];
           const Value& cnt = row[2];
           switch (fn) {
@@ -874,7 +886,8 @@ Status RuleEngine::SetThreads(size_t n) {
 Status RuleEngine::ApplySystemOp(const Rule& rule) {
   PTLDB_ASSIGN_OR_RETURN(db::Table * table,
                          database_->catalog().GetTable(rule.sys_item));
-  db::Tuple row = table->rows()[0];
+  PTLDB_ASSIGN_OR_RETURN(const db::Tuple* row_ptr, AggRow(*table));
+  db::Tuple row = *row_ptr;
   if (rule.sys_op == agg::SystemRule::Op::kReset) {
     db::Tuple fresh = InitialAggRow();
     fresh[0] = Value::Bool(true);  // started

@@ -4,9 +4,10 @@
 //
 //   1. Load the newest valid checkpoint (CURRENT, falling back to a scan)
 //      and restore clock, database, engine retained state, and the
-//      valid-time store. The application must have re-registered all rules
-//      and triggers first — rules are code; the checkpoint holds only their
-//      retained evaluation state and validates conditions against it.
+//      version store, if one is attached. The application must have
+//      re-registered all rules and triggers first — rules are code; the
+//      checkpoint holds only their retained evaluation state and validates
+//      conditions against it.
 //   2. Replay the WAL tail through the *normal* engine path: each logged
 //      state is re-appended (logged timestamp, logged events, logged redo
 //      deltas) and dispatched to the rules with the engine in replay mode —

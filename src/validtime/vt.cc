@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <set>
 #include <tuple>
 
 #include "common/logging.h"
@@ -28,6 +29,8 @@ Result<ptl::Analysis> AnalyzeItemCondition(std::string_view condition) {
   return analysis;
 }
 
+bool IsCommit(const event::Event& e) { return e.name == event::kCommitEvent; }
+
 }  // namespace
 
 VtDatabase::VtDatabase(Clock* clock, Timestamp max_delay)
@@ -35,9 +38,7 @@ VtDatabase::VtDatabase(Clock* clock, Timestamp max_delay)
 
 Result<int64_t> VtDatabase::Begin() {
   int64_t id = next_txn_id_++;
-  Txn txn;
-  txn.id = id;
-  open_txns_.emplace(id, std::move(txn));
+  open_txns_.emplace(id, Txn{});
   return id;
 }
 
@@ -63,21 +64,7 @@ Status VtDatabase::Update(int64_t txn_id, const std::string& item, Value value,
         StrCat("valid time ", valid_time, " violates the maximum delay: now (",
                now, ") - delta (", max_delay_, ") = ", now - max_delay_));
   }
-  txn->updates.emplace_back(item, std::move(value), valid_time);
-  return Status::OK();
-}
-
-Status VtDatabase::RaiseEvent(int64_t txn_id, event::Event e,
-                              Timestamp valid_time) {
-  PTLDB_ASSIGN_OR_RETURN(Txn * txn, GetTxn(txn_id));
-  Timestamp now = clock_->Now();
-  if (valid_time > now) {
-    return Status::InvalidArgument("event valid time lies in the future");
-  }
-  if (max_delay_ > 0 && valid_time < now - max_delay_) {
-    return Status::OutOfRange("event valid time violates the maximum delay");
-  }
-  txn->events.emplace_back(std::move(e), valid_time);
+  txn->emplace_back(item, std::move(value), valid_time);
   return Status::OK();
 }
 
@@ -93,18 +80,12 @@ size_t VtDatabase::StateAt(Timestamp time) {
   return idx;
 }
 
-size_t VtDatabase::InsertUpdate(const std::string& item, const Value& value,
-                                Timestamp valid_time) {
+size_t VtDatabase::InsertUpdate(PostingTag tag, const std::string& item,
+                                const Value& value, Timestamp valid_time) {
   size_t idx = StateAt(valid_time);
   states_[idx].events.push_back(
       event::Event{event::kUpdateEvent, {Value::Str(item), value}});
-  states_[idx].updates.emplace_back(item, value);
-  return idx;
-}
-
-size_t VtDatabase::InsertEvent(const event::Event& e, Timestamp valid_time) {
-  size_t idx = StateAt(valid_time);
-  states_[idx].events.push_back(e);
+  states_[idx].updates.emplace_back(tag, item, value);
   return idx;
 }
 
@@ -112,7 +93,7 @@ void VtDatabase::RecomputeValues(size_t from) {
   std::map<std::string, Value> values =
       from == 0 ? base_values_ : states_[from - 1].values;
   for (size_t i = from; i < states_.size(); ++i) {
-    for (const auto& [item, value] : states_[i].updates) {
+    for (const auto& [tag, item, value] : states_[i].updates) {
       values[item] = value;
     }
     states_[i].values = values;
@@ -127,29 +108,33 @@ Status VtDatabase::Commit(int64_t txn_id) {
   if (!states_.empty() && commit_time <= states_.back().time) {
     commit_time = states_.back().time + 1;
   }
-  if (!log_.empty() && commit_time <= log_.back().commit_time) {
-    commit_time = log_.back().commit_time + 1;
+  // Recheck the maximum delay against the commit time: an update that has
+  // fallen out of the window would land behind the definite monitors'
+  // frontier (and behind compaction), where no trigger would ever see it.
+  if (max_delay_ > 0) {
+    for (const auto& [item, value, valid_time] : *txn) {
+      if (valid_time >= commit_time - max_delay_) continue;
+      Status late = Status::OutOfRange(StrCat(
+          "transaction ", txn_id, " aborted: the valid time ", valid_time,
+          " of its update to '", item, "' violates the maximum delay at commit "
+          "time ", commit_time, " (delta ", max_delay_, ")"));
+      open_txns_.erase(txn_id);
+      return late;
+    }
   }
 
   size_t min_affected = states_.size();
-  for (const auto& [item, value, valid_time] : txn->updates) {
-    min_affected = std::min(min_affected, InsertUpdate(item, value, valid_time));
-  }
-  for (const auto& [e, valid_time] : txn->events) {
-    min_affected = std::min(min_affected, InsertEvent(e, valid_time));
+  for (uint32_t i = 0; i < txn->size(); ++i) {
+    const auto& [item, value, valid_time] = (*txn)[i];
+    min_affected = std::min(
+        min_affected,
+        InsertUpdate(PostingTag{txn_id, i}, item, value, valid_time));
   }
   // The commit event itself occurs "now", at the end of the history.
   size_t commit_idx = StateAt(commit_time);
   states_[commit_idx].events.push_back(event::TransactionCommit(txn_id));
   min_affected = std::min(min_affected, commit_idx);
   RecomputeValues(min_affected);
-
-  CommittedTxn record;
-  record.id = txn_id;
-  record.commit_time = commit_time;
-  record.updates = std::move(txn->updates);
-  record.events = std::move(txn->events);
-  log_.push_back(std::move(record));
   open_txns_.erase(txn_id);
 
   // Notify monitors: tentative ones replay from the earliest changed state,
@@ -221,9 +206,8 @@ size_t VtDatabase::monitor_store_nodes() const {
 }
 
 Status VtDatabase::Abort(int64_t txn_id) {
-  PTLDB_ASSIGN_OR_RETURN(Txn * txn, GetTxn(txn_id));
-  (void)txn;  // buffered updates are simply dropped
-  open_txns_.erase(txn_id);
+  PTLDB_RETURN_IF_ERROR(GetTxn(txn_id).status());
+  open_txns_.erase(txn_id);  // buffered updates are simply dropped
   return Status::OK();
 }
 
@@ -374,248 +358,98 @@ Status VtDatabase::StepDefinite(Monitor* m, Timestamp horizon) {
   return Status::OK();
 }
 
-// ---- Durability -------------------------------------------------------------
-
-namespace {
-
-void WriteValueMap(const std::map<std::string, Value>& m, codec::Writer* w) {
-  w->U32(static_cast<uint32_t>(m.size()));
-  for (const auto& [k, v] : m) {
-    w->Str(k);
-    w->Val(v);
-  }
-}
-
-Result<std::map<std::string, Value>> ReadValueMap(codec::Reader* r) {
-  PTLDB_ASSIGN_OR_RETURN(uint32_t n, r->U32());
-  std::map<std::string, Value> m;
-  for (uint32_t i = 0; i < n; ++i) {
-    PTLDB_ASSIGN_OR_RETURN(std::string k, r->Str());
-    PTLDB_ASSIGN_OR_RETURN(Value v, r->Val());
-    m.emplace(std::move(k), std::move(v));
-  }
-  return m;
-}
-
-}  // namespace
-
-Status VtDatabase::SerializeState(codec::Writer* w) const {
-  if (!open_txns_.empty()) {
-    return Status::InvalidArgument(
-        StrCat("cannot serialize a valid-time database with ",
-               open_txns_.size(), " open transaction(s)"));
-  }
-  w->I64(max_delay_);
-  w->I64(next_txn_id_);
-  w->U64(compacted_states_);
-  w->U64(collections_);
-  WriteValueMap(base_values_, w);
-  w->U32(static_cast<uint32_t>(states_.size()));
-  for (const VtState& s : states_) {
-    w->I64(s.time);
-    w->U32(static_cast<uint32_t>(s.events.size()));
-    for (const event::Event& e : s.events) event::SerializeEvent(e, w);
-    w->U32(static_cast<uint32_t>(s.updates.size()));
-    for (const auto& [item, value] : s.updates) {
-      w->Str(item);
-      w->Val(value);
-    }
-    WriteValueMap(s.values, w);
-  }
-  w->U32(static_cast<uint32_t>(log_.size()));
-  for (const CommittedTxn& txn : log_) {
-    w->I64(txn.id);
-    w->I64(txn.commit_time);
-    w->U32(static_cast<uint32_t>(txn.updates.size()));
-    for (const auto& [item, value, valid_time] : txn.updates) {
-      w->Str(item);
-      w->Val(value);
-      w->I64(valid_time);
-    }
-    w->U32(static_cast<uint32_t>(txn.events.size()));
-    for (const auto& [e, valid_time] : txn.events) {
-      event::SerializeEvent(e, w);
-      w->I64(valid_time);
-    }
-  }
-  w->U32(static_cast<uint32_t>(monitors_.size()));
-  for (const auto& m : monitors_) {
-    w->Str(m->name);
-    w->Bool(m->definite);
-    w->Str(m->ev.analysis().root->ToString());
-    w->U64(m->frontier);
-    m->ev.SerializeState(w);
-    w->U32(static_cast<uint32_t>(m->checkpoints.size()));
-    for (const auto& cp : m->checkpoints) m->ev.SerializeCheckpoint(cp, w);
-  }
-  return Status::OK();
-}
-
-Status VtDatabase::RestoreState(codec::Reader* r) {
-  if (!open_txns_.empty()) {
-    return Status::InvalidArgument(
-        "cannot restore into a valid-time database with open transactions");
-  }
-  PTLDB_ASSIGN_OR_RETURN(Timestamp max_delay, r->I64());
-  if (max_delay != max_delay_) {
-    return Status::InvalidArgument(
-        StrCat("checkpoint was taken with max_delay=", max_delay,
-               " but this database was built with max_delay=", max_delay_));
-  }
-  PTLDB_ASSIGN_OR_RETURN(next_txn_id_, r->I64());
-  PTLDB_ASSIGN_OR_RETURN(compacted_states_, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(collections_, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(base_values_, ReadValueMap(r));
-  PTLDB_ASSIGN_OR_RETURN(uint32_t num_states, r->U32());
-  states_.clear();
-  for (uint32_t i = 0; i < num_states; ++i) {
-    VtState s;
-    PTLDB_ASSIGN_OR_RETURN(s.time, r->I64());
-    PTLDB_ASSIGN_OR_RETURN(uint32_t num_events, r->U32());
-    for (uint32_t j = 0; j < num_events; ++j) {
-      PTLDB_ASSIGN_OR_RETURN(event::Event e, event::DeserializeEvent(r));
-      s.events.push_back(std::move(e));
-    }
-    PTLDB_ASSIGN_OR_RETURN(uint32_t num_updates, r->U32());
-    for (uint32_t j = 0; j < num_updates; ++j) {
-      PTLDB_ASSIGN_OR_RETURN(std::string item, r->Str());
-      PTLDB_ASSIGN_OR_RETURN(Value value, r->Val());
-      s.updates.emplace_back(std::move(item), std::move(value));
-    }
-    PTLDB_ASSIGN_OR_RETURN(s.values, ReadValueMap(r));
-    states_.push_back(std::move(s));
-  }
-  PTLDB_ASSIGN_OR_RETURN(uint32_t num_log, r->U32());
-  log_.clear();
-  for (uint32_t i = 0; i < num_log; ++i) {
-    CommittedTxn txn;
-    PTLDB_ASSIGN_OR_RETURN(txn.id, r->I64());
-    PTLDB_ASSIGN_OR_RETURN(txn.commit_time, r->I64());
-    PTLDB_ASSIGN_OR_RETURN(uint32_t num_updates, r->U32());
-    for (uint32_t j = 0; j < num_updates; ++j) {
-      PTLDB_ASSIGN_OR_RETURN(std::string item, r->Str());
-      PTLDB_ASSIGN_OR_RETURN(Value value, r->Val());
-      PTLDB_ASSIGN_OR_RETURN(Timestamp valid_time, r->I64());
-      txn.updates.emplace_back(std::move(item), std::move(value), valid_time);
-    }
-    PTLDB_ASSIGN_OR_RETURN(uint32_t num_events, r->U32());
-    for (uint32_t j = 0; j < num_events; ++j) {
-      PTLDB_ASSIGN_OR_RETURN(event::Event e, event::DeserializeEvent(r));
-      PTLDB_ASSIGN_OR_RETURN(Timestamp valid_time, r->I64());
-      txn.events.emplace_back(std::move(e), valid_time);
-    }
-    log_.push_back(std::move(txn));
-  }
-  PTLDB_ASSIGN_OR_RETURN(uint32_t num_monitors, r->U32());
-  for (uint32_t i = 0; i < num_monitors; ++i) {
-    PTLDB_ASSIGN_OR_RETURN(std::string name, r->Str());
-    PTLDB_ASSIGN_OR_RETURN(bool definite, r->Bool());
-    PTLDB_ASSIGN_OR_RETURN(std::string condition, r->Str());
-    PTLDB_ASSIGN_OR_RETURN(uint64_t frontier, r->U64());
-    Monitor* monitor = nullptr;
-    for (const auto& m : monitors_) {
-      if (m->name == name) {
-        monitor = m.get();
-        break;
-      }
-    }
-    if (monitor == nullptr) {
-      return Status::NotFound(
-          StrCat("checkpoint holds state for valid-time trigger '", name,
-                 "', which is not registered — re-register every trigger "
-                 "before restoring"));
-    }
-    if (monitor->definite != definite) {
-      return Status::InvalidArgument(
-          StrCat("trigger '", name,
-                 "': definite/tentative mode differs from the checkpoint"));
-    }
-    std::string live_condition = monitor->ev.analysis().root->ToString();
-    if (live_condition != condition) {
-      return Status::InvalidArgument(
-          StrCat("trigger '", name, "': registered condition `",
-                 live_condition, "` differs from the checkpointed condition `",
-                 condition, "`"));
-    }
-    monitor->frontier = frontier;
-    PTLDB_RETURN_IF_ERROR(monitor->ev.RestoreState(r));
-    PTLDB_ASSIGN_OR_RETURN(uint32_t num_checkpoints, r->U32());
-    monitor->checkpoints.clear();
-    for (uint32_t j = 0; j < num_checkpoints; ++j) {
-      PTLDB_ASSIGN_OR_RETURN(eval::IncrementalEvaluator::Checkpoint cp,
-                             monitor->ev.DeserializeCheckpoint(r));
-      monitor->checkpoints.push_back(std::move(cp));
-    }
-  }
-  return Status::OK();
-}
-
 // ---- Histories and satisfaction ----------------------------------------------
 
-VtHistory VtDatabase::CommittedHistoryAt(Timestamp t) const {
-  std::map<Timestamp, VtState> by_time;
-  auto state_at = [&by_time](Timestamp time) -> VtState& {
-    VtState& s = by_time[time];
-    s.time = time;
-    return s;
-  };
-  for (const CommittedTxn& txn : log_) {
-    if (txn.commit_time > t) continue;
-    for (const auto& [item, value, valid_time] : txn.updates) {
-      VtState& s = state_at(valid_time);
-      s.events.push_back(
-          event::Event{event::kUpdateEvent, {Value::Str(item), value}});
-      s.updates.emplace_back(item, value);
+Status VtDatabase::CheckWholeHistory() const {
+  if (compacted_states_ == 0) return Status::OK();
+  return Status::OutOfRange(
+      StrCat("the committed history is incomplete: Compact() dropped its "
+             "first ", compacted_states_, " state(s)"));
+}
+
+Result<VtHistory> VtDatabase::CommittedHistoryAt(Timestamp t) const {
+  PTLDB_RETURN_IF_ERROR(CheckWholeHistory());
+  // Commit times ascend with the states, so the transactions committed by t
+  // are those whose commit event lies in a state at or before t.
+  std::set<int64_t> committed;
+  size_t end = 0;
+  for (; end < states_.size() && states_[end].time <= t; ++end) {
+    for (const event::Event& e : states_[end].events) {
+      if (IsCommit(e)) committed.insert(e.params[0].AsInt());
     }
-    for (const auto& [e, valid_time] : txn.events) {
-      state_at(valid_time).events.push_back(e);
-    }
-    state_at(txn.commit_time)
-        .events.push_back(event::TransactionCommit(txn.id));
   }
   VtHistory history;
-  history.reserve(by_time.size());
   std::map<std::string, Value> values;
-  for (auto& [time, state] : by_time) {
-    if (time > t) break;
-    for (const auto& [item, value] : state.updates) values[item] = value;
-    state.values = values;
-    history.push_back(std::move(state));
+  for (size_t i = 0; i < end; ++i) {
+    const VtState& s = states_[i];
+    VtState kept;
+    kept.time = s.time;
+    auto update = s.updates.begin();  // the update behind each update event
+    for (const event::Event& e : s.events) {
+      if (!IsCommit(e)) {
+        const auto& [tag, item, value] = *update++;
+        if (!committed.contains(tag.txn)) continue;
+        kept.updates.emplace_back(tag, item, value);
+        values[item] = value;
+      }
+      kept.events.push_back(e);
+    }
+    if (kept.events.empty()) continue;
+    kept.values = values;
+    history.push_back(std::move(kept));
   }
   return history;
 }
 
-VtHistory VtDatabase::CommittedHistoryAtInfinity() const {
+Result<VtHistory> VtDatabase::CommittedHistoryAtInfinity() const {
   return CommittedHistoryAt(std::numeric_limits<Timestamp>::max());
 }
 
-std::vector<Timestamp> VtDatabase::CommitPoints() const {
+Result<std::vector<Timestamp>> VtDatabase::CommitPoints() const {
+  PTLDB_RETURN_IF_ERROR(CheckWholeHistory());
   std::vector<Timestamp> points;
-  points.reserve(log_.size());
-  for (const CommittedTxn& txn : log_) points.push_back(txn.commit_time);
-  return points;  // log_ is in commit order
+  for (const VtState& s : states_) {
+    if (std::any_of(s.events.begin(), s.events.end(), IsCommit)) {
+      points.push_back(s.time);
+    }
+  }
+  return points;
 }
 
-VtHistory VtDatabase::CollapsedCommittedHistory() const {
+Result<VtHistory> VtDatabase::CollapsedCommittedHistory() const {
+  PTLDB_RETURN_IF_ERROR(CheckWholeHistory());
+  // Each transaction's updates, gathered from their valid-time states and
+  // put back in posting order.
+  std::map<int64_t, std::vector<const VtUpdate*>> posted;
+  for (const VtState& s : states_) {
+    for (const VtUpdate& u : s.updates) {
+      posted[std::get<0>(u).txn].push_back(&u);
+    }
+  }
+  for (auto& [txn, updates] : posted) {
+    std::sort(updates.begin(), updates.end(),
+              [](const VtUpdate* a, const VtUpdate* b) {
+                return std::get<0>(*a).index < std::get<0>(*b).index;
+              });
+  }
   VtHistory history;
   std::map<std::string, Value> values;
-  for (const CommittedTxn& txn : log_) {
-    VtState s;
-    s.time = txn.commit_time;
-    s.events.push_back(event::TransactionCommit(txn.id));
-    for (const auto& [item, value, valid_time] : txn.updates) {
-      (void)valid_time;  // the collapse applies changes at commit time
-      s.events.push_back(
-          event::Event{event::kUpdateEvent, {Value::Str(item), value}});
-      s.updates.emplace_back(item, value);
-      values[item] = value;
+  for (const VtState& s : states_) {
+    for (const event::Event& e : s.events) {
+      if (!IsCommit(e)) continue;
+      VtState collapsed;
+      collapsed.time = s.time;
+      collapsed.events.push_back(e);
+      for (const VtUpdate* u : posted[e.params[0].AsInt()]) {
+        const auto& [tag, item, value] = *u;
+        collapsed.events.push_back(
+            event::Event{event::kUpdateEvent, {Value::Str(item), value}});
+        collapsed.updates.push_back(*u);
+        values[item] = value;
+      }
+      collapsed.values = values;
+      history.push_back(std::move(collapsed));
     }
-    for (const auto& [e, valid_time] : txn.events) {
-      (void)valid_time;
-      s.events.push_back(e);
-    }
-    s.values = values;
-    history.push_back(std::move(s));
   }
   return history;
 }
@@ -635,40 +469,24 @@ Result<bool> VtDatabase::EvaluateAtEnd(const VtHistory& history,
 }
 
 Result<bool> VtDatabase::OnlineSatisfied(std::string_view constraint) const {
-  for (Timestamp t : CommitPoints()) {
-    PTLDB_ASSIGN_OR_RETURN(bool ok, EvaluateAtEnd(CommittedHistoryAt(t),
-                                                  constraint));
+  PTLDB_ASSIGN_OR_RETURN(std::vector<Timestamp> points, CommitPoints());
+  for (Timestamp t : points) {
+    PTLDB_ASSIGN_OR_RETURN(VtHistory history, CommittedHistoryAt(t));
+    PTLDB_ASSIGN_OR_RETURN(bool ok, EvaluateAtEnd(history, constraint));
     if (!ok) return false;
   }
   return true;
 }
 
 Result<bool> VtDatabase::OfflineSatisfied(std::string_view constraint) const {
-  VtHistory full = CommittedHistoryAtInfinity();
-  for (Timestamp t : CommitPoints()) {
+  PTLDB_ASSIGN_OR_RETURN(std::vector<Timestamp> points, CommitPoints());
+  PTLDB_ASSIGN_OR_RETURN(VtHistory full, CommittedHistoryAtInfinity());
+  for (Timestamp t : points) {
     VtHistory prefix;
     for (const VtState& s : full) {
       if (s.time > t) break;
       prefix.push_back(s);
     }
-    PTLDB_ASSIGN_OR_RETURN(bool ok, EvaluateAtEnd(prefix, constraint));
-    if (!ok) return false;
-  }
-  return true;
-}
-
-Result<bool> VtDatabase::SatisfiedAtCommitPoints(const VtHistory& history,
-                                                 std::string_view constraint) {
-  for (size_t i = 0; i < history.size(); ++i) {
-    bool is_commit_point = false;
-    for (const event::Event& e : history[i].events) {
-      if (e.name == event::kCommitEvent) {
-        is_commit_point = true;
-        break;
-      }
-    }
-    if (!is_commit_point) continue;
-    VtHistory prefix(history.begin(), history.begin() + static_cast<ptrdiff_t>(i) + 1);
     PTLDB_ASSIGN_OR_RETURN(bool ok, EvaluateAtEnd(prefix, constraint));
     if (!ok) return false;
   }

@@ -11,10 +11,11 @@
 // database items (the §2 model's "database items"; PTL conditions reference
 // item X as the 0-ary query `X()`):
 //
-//   * VtDatabase — transactions posting (item, value, valid-time) updates and
-//     valid-time events; maintains the committed history at the current time.
-//     With a maximum delay delta (§9.2), updates may not reach back more than
-//     delta ticks.
+//   * VtDatabase — transactions posting (item, value, valid-time) updates;
+//     maintains the committed history at the current time, the one history
+//     every other view is derived from. With a maximum delay delta (§9.2),
+//     updates may not reach back more than delta ticks, neither when posted
+//     nor when their transaction commits.
 //   * Tentative triggers — actions based on tentative values: after a commit
 //     the evaluator is re-run "for each state starting with the oldest system
 //     state that was updated", implemented with per-state evaluator
@@ -27,7 +28,8 @@
 //     `OfflineSatisfied` implement the two definitions literally (committed
 //     history at each commit point vs the committed history at infinity), and
 //     `CollapsedCommittedHistory` produces the transaction-time collapse on
-//     which Theorem 2 says the two notions coincide.
+//     which Theorem 2 says the two notions coincide. All three are derived
+//     from the states' posting tags and commit events.
 
 #ifndef PTLDB_VALIDTIME_VT_H_
 #define PTLDB_VALIDTIME_VT_H_
@@ -37,10 +39,10 @@
 #include <map>
 #include <memory>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/clock.h"
-#include "common/codec.h"
 #include "common/status.h"
 #include "common/trace.h"
 #include "eval/incremental.h"
@@ -49,14 +51,28 @@
 
 namespace ptldb::validtime {
 
+/// Which transaction posted an update, and the update's place in that
+/// transaction's posting order. A transaction's updates land in the states of
+/// their valid times, so the tag is what keeps commit membership and posting
+/// order recoverable from the history alone.
+struct PostingTag {
+  int64_t txn = 0;
+  uint32_t index = 0;
+};
+
+using VtUpdate = std::tuple<PostingTag, std::string, Value>;
+
 /// One state of a valid-time history: the events and committed updates at one
 /// instant, plus the resulting item values.
 struct VtState {
   Timestamp time = 0;
+  /// One `update(item, value)` event per entry of `updates`, in the same
+  /// order, interleaved with the `commit(txn)` event of a transaction that
+  /// committed at this instant.
   std::vector<event::Event> events;
-  /// (item, value) updates taking effect at this instant, in commit order
-  /// (later commits win on conflicts at the same instant).
-  std::vector<std::pair<std::string, Value>> updates;
+  /// (tag, item, value) updates taking effect at this instant, in commit
+  /// order (later commits win on conflicts at the same instant).
+  std::vector<VtUpdate> updates;
   /// Item values after this state.
   std::map<std::string, Value> values;
 };
@@ -75,8 +91,6 @@ class VtDatabase {
   /// (definite triggers then cannot be registered).
   VtDatabase(Clock* clock, Timestamp max_delay);
 
-  Timestamp max_delay() const { return max_delay_; }
-
   // ---- Transactions ----
 
   Result<int64_t> Begin();
@@ -85,8 +99,10 @@ class VtDatabase {
   /// enter any history ("we ignore updates of aborted transactions").
   Status Update(int64_t txn, const std::string& item, Value value,
                 Timestamp valid_time);
-  /// Posts an application event at a valid time.
-  Status RaiseEvent(int64_t txn, event::Event e, Timestamp valid_time);
+  /// Commits at the current time. An update whose valid time has fallen
+  /// behind commit_time - max_delay by then would land behind the definite
+  /// frontier, so the commit fails with OutOfRange and the transaction is
+  /// aborted instead.
   Status Commit(int64_t txn);
   Status Abort(int64_t txn);
 
@@ -96,9 +112,10 @@ class VtDatabase {
 
   /// Drops in-memory states older than now - max_delay (they are immutable
   /// under the maximum-delay assumption, §9.2) along with the tentative
-  /// monitors' checkpoints for them. The durable log is kept, so the offline
-  /// analyses (CommittedHistoryAt etc.) are unaffected. Requires
-  /// max_delay > 0. Idempotent; called manually or via `auto_compact`.
+  /// monitors' checkpoints for them. The committed histories are derived
+  /// from the states, so once a prefix is dropped CommittedHistoryAt and the
+  /// analyses built on it return OutOfRange. Requires max_delay > 0.
+  /// Idempotent; called manually or via `auto_compact`.
   Status Compact();
 
   /// When enabled (and max_delay > 0), Commit() compacts automatically once
@@ -131,22 +148,25 @@ class VtDatabase {
   Status AddDefiniteTrigger(const std::string& name, std::string_view condition,
                             VtTriggerFn on_fire);
 
-  // ---- Histories and IC satisfaction (offline analyses over the log) ----
+  // ---- Histories and IC satisfaction (offline analyses over the states) ----
+  //
+  // Each is derived from the whole committed history; after Compact() has
+  // dropped a prefix of it they return OutOfRange.
 
   /// The committed history at transaction time `t`: states with valid
   /// timestamp <= t, containing exactly the updates of transactions that
   /// committed at or before `t`.
-  VtHistory CommittedHistoryAt(Timestamp t) const;
+  Result<VtHistory> CommittedHistoryAt(Timestamp t) const;
 
   /// The committed history "at time infinity" (every committed update).
-  VtHistory CommittedHistoryAtInfinity() const;
+  Result<VtHistory> CommittedHistoryAtInfinity() const;
 
   /// Commit timestamps of all committed transactions, ascending.
-  std::vector<Timestamp> CommitPoints() const;
+  Result<std::vector<Timestamp>> CommitPoints() const;
 
   /// The transaction-time collapse: every update takes effect at its
-  /// transaction's commit time instead of its valid time.
-  VtHistory CollapsedCommittedHistory() const;
+  /// transaction's commit time instead of its valid time, in posting order.
+  Result<VtHistory> CollapsedCommittedHistory() const;
 
   /// §9.3 online satisfaction of a temporal integrity constraint: for every
   /// commit point t, the committed history at t satisfies `constraint`.
@@ -156,25 +176,8 @@ class VtDatabase {
   /// t) of the committed history at infinity satisfies `constraint`.
   Result<bool> OfflineSatisfied(std::string_view constraint) const;
 
-  /// Same two notions evaluated on an explicit history (used to check
-  /// Theorem 2 on the collapsed history).
-  static Result<bool> SatisfiedAtCommitPoints(const VtHistory& history,
-                                              std::string_view constraint);
-
   /// Current committed history (diagnostics).
   const VtHistory& current_history() const { return states_; }
-
-  // ---- Durability ----
-
-  /// Serializes the full retained state: the in-memory committed history,
-  /// compaction base, durable transaction log, and every monitor's evaluator
-  /// state (including the tentative monitors' per-state checkpoints).
-  /// Triggers themselves are code: the application re-registers them before
-  /// RestoreState, which matches monitors by name and validates conditions.
-  /// Fails with open transactions (their buffered updates are volatile by
-  /// design — an aborted/unfinished txn never enters any history).
-  Status SerializeState(codec::Writer* w) const;
-  Status RestoreState(codec::Reader* r);
 
   // ---- Tracing ----
 
@@ -186,19 +189,8 @@ class VtDatabase {
   trace::Recorder* trace() const { return trace_; }
 
  private:
-  struct Txn {
-    int64_t id = 0;
-    std::vector<std::tuple<std::string, Value, Timestamp>> updates;  // buffered
-    std::vector<std::pair<event::Event, Timestamp>> events;
-  };
-
-  // The durable log (for offline analyses): one entry per committed txn.
-  struct CommittedTxn {
-    int64_t id;
-    Timestamp commit_time;
-    std::vector<std::tuple<std::string, Value, Timestamp>> updates;
-    std::vector<std::pair<event::Event, Timestamp>> events;
-  };
+  // An open transaction's buffered (item, value, valid time) updates.
+  using Txn = std::vector<std::tuple<std::string, Value, Timestamp>>;
 
   struct Monitor {
     std::string name;
@@ -218,11 +210,10 @@ class VtDatabase {
   };
 
   Result<Txn*> GetTxn(int64_t txn_id);
-  /// Inserts one committed update/event into states_; returns the index of
-  /// the earliest affected state.
-  size_t InsertUpdate(const std::string& item, const Value& value,
-                      Timestamp valid_time);
-  size_t InsertEvent(const event::Event& e, Timestamp valid_time);
+  /// Inserts one committed update into states_; returns the index of the
+  /// affected state.
+  size_t InsertUpdate(PostingTag tag, const std::string& item,
+                      const Value& value, Timestamp valid_time);
   /// Recomputes `values` from state `from` onward.
   void RecomputeValues(size_t from);
   /// Index of the state at `time`, inserting an empty one if absent.
@@ -237,6 +228,8 @@ class VtDatabase {
                                                 size_t seq);
   static Result<bool> EvaluateAtEnd(const VtHistory& history,
                                     std::string_view condition);
+  /// OutOfRange once Compact() has dropped part of the committed history.
+  Status CheckWholeHistory() const;
 
   Clock* clock_;
   Timestamp max_delay_;
@@ -244,7 +237,6 @@ class VtDatabase {
   // Item values as of just before states_[0] (effect of compacted states).
   std::map<std::string, Value> base_values_;
   std::map<int64_t, Txn> open_txns_;
-  std::vector<CommittedTxn> log_;
   std::vector<std::unique_ptr<Monitor>> monitors_;
   int64_t next_txn_id_ = 1;
   size_t auto_compact_threshold_ = 0;  // 0 = manual only

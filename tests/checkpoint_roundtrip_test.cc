@@ -1,8 +1,8 @@
 // Checkpoint round-trip coverage for every retained-state type (satellite 3):
 // binder open formulas with fresh variables, WITHIN windows, direct aggregate
 // accumulators, §6.1.1 rewritten aggregates with aux items, rule families,
-// integrity constraints, the database contents/history position, the clock,
-// and the valid-time store with its monitors' per-state checkpoints.
+// integrity constraints, the database contents/history position and the
+// clock.
 //
 // The equality oracle is strict: serialize → restore into freshly built
 // components → serialize again must reproduce the identical bytes, and
@@ -21,7 +21,6 @@
 #include "rules/engine.h"
 #include "storage/checkpoint.h"
 #include "testutil.h"
-#include "validtime/vt.h"
 
 namespace ptldb::storage {
 namespace {
@@ -281,90 +280,27 @@ TEST(CheckpointRoundTrip, SimClockRestoreKeepsTimeComparisonsStable) {
   EXPECT_EQ(b_early, before_b);
 }
 
-// ---- Valid-time store ------------------------------------------------------
-
-struct VtWorld {
-  SimClock clock;
-  validtime::VtDatabase vt{&clock, /*max_delay=*/100};
-  std::vector<Timestamp> tentative_fires;
-  std::vector<Timestamp> definite_fires;
-
-  VtWorld() {
-    PTLDB_CHECK_OK(vt.AddTentativeTrigger(
-        "drop", "PREVIOUSLY IBM() < 40",
-        [this](Timestamp at) { tentative_fires.push_back(at); }));
-    PTLDB_CHECK_OK(vt.AddDefiniteTrigger(
-        "spike", "IBM() > 100",
-        [this](Timestamp at) { definite_fires.push_back(at); }));
-  }
-
-  void Commit(Timestamp now, const std::string& item, Value v,
-              Timestamp valid_time) {
-    if (clock.Now() < now) clock.Advance(now - clock.Now());
-    auto txn = vt.Begin();
-    PTLDB_CHECK(txn.ok());
-    PTLDB_CHECK_OK(vt.Update(*txn, item, std::move(v), valid_time));
-    PTLDB_CHECK_OK(vt.Commit(*txn));
-  }
-
-  std::string Bytes() {
-    std::string out;
-    codec::Writer w(&out);
-    PTLDB_CHECK_OK(vt.SerializeState(&w));
-    return out;
-  }
-};
-
-TEST(CheckpointRoundTrip, VtDatabaseMonitorsSurviveRestore) {
-  VtWorld a;
-  a.Commit(10, "IBM", Value::Int(50), 8);
-  a.Commit(20, "IBM", Value::Int(60), 18);
-  a.Commit(30, "IBM", Value::Int(120), 28);  // spike, not yet definite
-
-  VtWorld b;
-  {
-    std::string bytes = a.Bytes();
-    codec::Reader r(bytes);
-    ASSERT_OK(b.clock.Restore(a.clock.Now()));
-    ASSERT_OK(b.vt.RestoreState(&r));
-    ASSERT_OK(r.ExpectEnd());
-  }
-  EXPECT_EQ(a.Bytes(), b.Bytes());
-
-  // A retroactive update below 40 must fire the tentative monitor in both —
-  // the monitor's per-state evaluator checkpoints were restored, so the
-  // replay from the rewritten state works in the restorate too.
-  a.Commit(40, "IBM", Value::Int(35), 15);
-  b.Commit(40, "IBM", Value::Int(35), 15);
-  EXPECT_FALSE(a.tentative_fires.empty());
-  EXPECT_EQ(a.tentative_fires, b.tentative_fires);
-
-  // Advancing past the delay window makes the spike definite in both.
-  a.clock.Advance(200);
-  b.clock.Advance(200);
-  ASSERT_OK(a.vt.AdvanceDefinite());
-  ASSERT_OK(b.vt.AdvanceDefinite());
-  EXPECT_FALSE(a.definite_fires.empty());
-  EXPECT_EQ(a.definite_fires, b.definite_fires);
-  EXPECT_EQ(a.Bytes(), b.Bytes());
-}
-
-TEST(CheckpointRoundTrip, VtRestoreValidatesMonitorsAndDelay) {
-  VtWorld a;
-  a.Commit(10, "IBM", Value::Int(50), 8);
-  std::string bytes = a.Bytes();
-
-  // Different max_delay is rejected.
-  SimClock clock2;
-  validtime::VtDatabase wrong_delay(&clock2, 7);
-  codec::Reader r1(bytes);
-  EXPECT_FALSE(wrong_delay.RestoreState(&r1).ok());
-
-  // Missing monitor is rejected.
-  SimClock clock3;
-  validtime::VtDatabase missing(&clock3, 100);
-  codec::Reader r2(bytes);
-  EXPECT_FALSE(missing.RestoreState(&r2).ok());
+// The valid-time section is retired: the byte is always written 0, and a body
+// that sets it is refused rather than skipped.
+TEST(CheckpointRoundTrip, RetiredValidTimeSectionIsRejected) {
+  World a;
+  a.SetPrice("IBM", 41);
+  std::string body;
+  ASSERT_OK(EncodeCheckpoint(1, a.Targets(), &body));
+  // With no metrics and no version store the body ends with the retired
+  // byte, an empty metrics string and the absent-temporal flag.
+  std::string trailer;
+  codec::Writer w(&trailer);
+  w.Bool(false);
+  w.Str("");
+  w.Bool(false);
+  ASSERT_TRUE(body.ends_with(trailer));
+  World b;
+  ASSERT_OK(RestoreCheckpoint(body, b.Targets()).status());
+  body[body.size() - trailer.size()] = 1;
+  World c;
+  EXPECT_EQ(RestoreCheckpoint(body, c.Targets()).status().code(),
+            StatusCode::kInvalidArgument);
 }
 
 }  // namespace

@@ -265,6 +265,29 @@ TEST_F(EngineTest, RewriteModeMatchesDirectMode) {
   ExpectNoErrors();
 }
 
+TEST_F(EngineTest, DeletedAggregateRowIsReportedNotReadOutOfBounds) {
+  // The rewritten aggregate's item is an ordinary table, so SQL can delete
+  // its one row. Both readers of the row, the accumulate system rule and the
+  // item's computed query, must then report an error naming the table.
+  ASSERT_OK(engine_.AddTrigger(
+      "rewritten", "avg(price('IBM'); @start_window; @sample) > 50", nullptr,
+      RuleOptions{.aggregate_mode = AggregateMode::kRewrite,
+                  .record_execution = false}));
+  clock_.Advance(1);
+  ASSERT_OK(db_.RaiseEvent(event::Event{"start_window", {}}));
+  ExpectNoErrors();
+  ASSERT_OK(db_.DeleteRows("__agg_rewritten_0", "TRUE").status());
+  clock_.Advance(1);
+  ASSERT_OK(db_.RaiseEvent(event::Event{"sample", {}}));
+  std::vector<Status> errors = engine_.TakeErrors();
+  ASSERT_FALSE(errors.empty());
+  for (const Status& s : errors) {
+    EXPECT_NE(s.message().find("'__agg_rewritten_0' holds 0 rows"),
+              std::string::npos)
+        << s.ToString();
+  }
+}
+
 TEST_F(EngineTest, WindowAggregateTrigger) {
   // The intro's moving average condition.
   int fired = 0;

@@ -35,6 +35,41 @@ TEST(VtDatabaseTest, MaxDelayEnforced) {
             StatusCode::kOutOfRange);  // older than now - delta
   EXPECT_EQ(db.Update(txn, "IBM", Value::Int(72), 101).code(),
             StatusCode::kInvalidArgument);  // future
+  // The window is checked again at commit: by t=106 the update at 95 is
+  // older than now - delta, so the commit fails and aborts the transaction.
+  clock.Set(106);
+  EXPECT_EQ(db.Commit(txn).code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(db.Abort(txn).code(), StatusCode::kNotFound);
+  EXPECT_TRUE(db.current_history().empty());
+}
+
+TEST(VtDatabaseTest, LateCommitCannotLandBehindTheDefiniteFrontier) {
+  SimClock clock(0);
+  VtDatabase db(&clock, /*max_delay=*/10);
+  std::vector<Timestamp> firings;
+  ASSERT_OK(db.AddDefiniteTrigger("spike", "PREVIOUSLY IBM() > 100",
+                                  [&firings](Timestamp at) {
+                                    firings.push_back(at);
+                                  }));
+  // Posted at valid time 0 while that was still in the window...
+  ASSERT_OK_AND_ASSIGN(int64_t late, db.Begin());
+  ASSERT_OK(db.Update(late, "IBM", Value::Int(150), 0));
+  CommitUpdate(db, clock, 5, "IBM", Value::Int(50), 5);
+  clock.Set(20);
+  ASSERT_OK(db.AdvanceDefinite());  // the t=5 state is definite now
+  // ...but committed only once t=0 lies behind the definite frontier.
+  EXPECT_EQ(db.Commit(late).code(), StatusCode::kOutOfRange);
+  clock.Set(100);
+  ASSERT_OK(db.AdvanceDefinite());
+  // The definite trigger and the committed history agree: the spike is in
+  // neither, instead of in the history but never seen by the trigger.
+  bool spike_committed = false;
+  for (const VtState& s : db.current_history()) {
+    auto it = s.values.find("IBM");
+    spike_committed |= it != s.values.end() && it->second == Value::Int(150);
+  }
+  EXPECT_FALSE(spike_committed);
+  EXPECT_EQ(!firings.empty(), spike_committed);
 }
 
 TEST(VtDatabaseTest, AbortedUpdatesNeverEnterHistory) {
@@ -44,7 +79,8 @@ TEST(VtDatabaseTest, AbortedUpdatesNeverEnterHistory) {
   ASSERT_OK(db.Update(txn, "IBM", Value::Int(72), 5));
   ASSERT_OK(db.Abort(txn));
   EXPECT_TRUE(db.current_history().empty());
-  EXPECT_TRUE(db.CommitPoints().empty());
+  ASSERT_OK_AND_ASSIGN(std::vector<Timestamp> commits, db.CommitPoints());
+  EXPECT_TRUE(commits.empty());
 }
 
 TEST(VtDatabaseTest, RetroactiveUpdateRewritesHistory) {
@@ -195,14 +231,14 @@ TEST_F(PaperExampleTest, Theorem2OnCollapsedHistory) {
   // On the collapsed committed history the two notions coincide. Re-ingest
   // the collapse (updates at commit time) into a fresh valid-time database
   // and compare the two checkers.
-  VtHistory collapsed = db_.CollapsedCommittedHistory();
+  ASSERT_OK_AND_ASSIGN(VtHistory collapsed, db_.CollapsedCommittedHistory());
   SimClock clock2(0);
   VtDatabase db2(&clock2, /*max_delay=*/0);
   for (const VtState& s : collapsed) {
     clock2.Set(s.time);
     auto txn = db2.Begin();
     ASSERT_OK(txn.status());
-    for (const auto& [item, value] : s.updates) {
+    for (const auto& [tag, item, value] : s.updates) {
       ASSERT_OK(db2.Update(*txn, item, value, s.time));
     }
     ASSERT_OK(db2.Commit(*txn));
@@ -253,19 +289,22 @@ TEST(Theorem2PropertyTest, OnlineEqualsOfflineOnCollapsedHistories) {
         if (rng.Chance(0.2)) {
           ASSERT_OK(db.Abort(txn));
         } else {
-          ASSERT_OK(db.Commit(txn));
+          // A commit whose updates have fallen out of the delay window is
+          // refused and aborts the transaction (§9.2).
+          Status s = db.Commit(txn);
+          if (s.code() != StatusCode::kOutOfRange) ASSERT_OK(s);
         }
       }
     }
     // Re-ingest the collapse and check the theorem for every constraint.
-    VtHistory collapsed = db.CollapsedCommittedHistory();
+    ASSERT_OK_AND_ASSIGN(VtHistory collapsed, db.CollapsedCommittedHistory());
     SimClock clock2(0);
     VtDatabase db2(&clock2, 0);
     for (const VtState& s : collapsed) {
       clock2.Set(s.time);
       auto txn = db2.Begin();
       ASSERT_OK(txn.status());
-      for (const auto& [item, value] : s.updates) {
+      for (const auto& [tag, item, value] : s.updates) {
         ASSERT_OK(db2.Update(*txn, item, value, s.time));
       }
       ASSERT_OK(db2.Commit(*txn));
@@ -303,6 +342,11 @@ TEST(VtDatabaseTest, CompactionBoundsMemoryAndPreservesBehaviour) {
   const VtHistory& h = db.current_history();
   ASSERT_FALSE(h.empty());
   EXPECT_TRUE(h.front().values.count("IBM") > 0);
+  // The committed histories are derived from the states, and a prefix of
+  // them is gone: the analyses refuse rather than answer from a suffix.
+  EXPECT_EQ(db.CommitPoints().status().code(), StatusCode::kOutOfRange);
+  EXPECT_EQ(db.OnlineSatisfied("IBM() < 200").status().code(),
+            StatusCode::kOutOfRange);
 }
 
 TEST(VtDatabaseTest, CompactThenRetroUpdateAtBoundaryStillWorks) {
@@ -401,13 +445,13 @@ TEST(VtDatabaseTest, CommittedHistoryAtExcludesLaterCommits) {
   clock.Set(20);
   ASSERT_OK(db.Commit(*t1));  // commits at 20
 
-  std::vector<Timestamp> commits = db.CommitPoints();
+  ASSERT_OK_AND_ASSIGN(std::vector<Timestamp> commits, db.CommitPoints());
   ASSERT_EQ(commits.size(), 2u);
-  VtHistory at_first = db.CommittedHistoryAt(commits[0]);
+  ASSERT_OK_AND_ASSIGN(VtHistory at_first, db.CommittedHistoryAt(commits[0]));
   // Only t2's update visible.
   bool saw_1 = false, saw_2 = false;
   for (const VtState& s : at_first) {
-    for (const auto& [item, v] : s.updates) {
+    for (const auto& [tag, item, v] : s.updates) {
       (void)item;
       saw_1 |= (v == Value::Int(1));
       saw_2 |= (v == Value::Int(2));
@@ -416,10 +460,40 @@ TEST(VtDatabaseTest, CommittedHistoryAtExcludesLaterCommits) {
   EXPECT_FALSE(saw_1);
   EXPECT_TRUE(saw_2);
   // At infinity both are visible, and the retro one (valid 5) precedes.
-  VtHistory full = db.CommittedHistoryAtInfinity();
+  ASSERT_OK_AND_ASSIGN(VtHistory full, db.CommittedHistoryAtInfinity());
   ASSERT_GE(full.size(), 2u);
   EXPECT_EQ(full[0].time, 5);
   EXPECT_EQ(full[1].time, 6);
+}
+
+TEST(VtDatabaseTest, CollapseKeepsPostingOrderWithinATransaction) {
+  SimClock clock(10);
+  VtDatabase db(&clock, /*max_delay=*/100);
+  ASSERT_OK_AND_ASSIGN(int64_t txn, db.Begin());
+  // Posted first at the later valid time, then at an earlier one.
+  ASSERT_OK(db.Update(txn, "IBM", Value::Int(1), 8));
+  ASSERT_OK(db.Update(txn, "IBM", Value::Int(2), 5));
+  ASSERT_OK(db.Commit(txn));
+  // In valid time the first posting is the later value...
+  EXPECT_EQ(db.current_history().back().values.at("IBM"), Value::Int(1));
+  // ...but collapsed to the commit time, posting order decides.
+  ASSERT_OK_AND_ASSIGN(VtHistory collapsed, db.CollapsedCommittedHistory());
+  ASSERT_EQ(collapsed.size(), 1u);
+  EXPECT_EQ(collapsed[0].time, 10);
+  EXPECT_EQ(collapsed[0].events,
+            (std::vector<event::Event>{
+                event::TransactionCommit(txn),
+                {event::kUpdateEvent, {Value::Str("IBM"), Value::Int(1)}},
+                {event::kUpdateEvent, {Value::Str("IBM"), Value::Int(2)}}}));
+  ASSERT_EQ(collapsed[0].updates.size(), 2u);
+  const auto& [first_tag, first_item, first_value] = collapsed[0].updates[0];
+  const auto& [second_tag, second_item, second_value] =
+      collapsed[0].updates[1];
+  EXPECT_EQ(first_tag.index, 0u);
+  EXPECT_EQ(first_value, Value::Int(1));
+  EXPECT_EQ(second_tag.index, 1u);
+  EXPECT_EQ(second_value, Value::Int(2));
+  EXPECT_EQ(collapsed[0].values.at("IBM"), Value::Int(2));
 }
 
 TEST(VtDatabaseTest, TraceRecordsReplaySpansAndFireWitnesses) {
