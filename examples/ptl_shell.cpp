@@ -49,6 +49,15 @@ namespace {
 // record of what the engine was doing — persist it before the abort.
 trace::Recorder* g_crash_recorder = nullptr;
 
+// Prints one `<registry name> <value>` line per row of a stats table.
+template <typename S, size_t N>
+void PrintStats(const S& stats, const StatRow<S> (&rows)[N]) {
+  for (const StatRow<S>& row : rows) {
+    std::printf("%-32s %llu\n", row.name,
+                static_cast<unsigned long long>(stats.*row.member));
+  }
+}
+
 void CrashSink(const char* file, int line, const std::string& message) {
   std::fprintf(stderr, "%s:%d: %s\n", file, line, message.c_str());
   if (g_crash_recorder != nullptr && g_crash_recorder->enabled()) {
@@ -500,19 +509,7 @@ class Shell {
       std::printf("%s\n", metrics_.ToJson().c_str());
       return true;
     }
-    const rules::EngineStats& st = engine_.stats();
-    std::printf("states=%llu steps=%llu queries=%llu memo_hits=%llu "
-                "actions=%llu ic_checks=%llu ic_violations=%llu skipped=%llu "
-                "collections=%llu\n",
-                static_cast<unsigned long long>(st.states_processed),
-                static_cast<unsigned long long>(st.rule_steps),
-                static_cast<unsigned long long>(st.queries_evaluated),
-                static_cast<unsigned long long>(st.query_memo_hits),
-                static_cast<unsigned long long>(st.actions_executed),
-                static_cast<unsigned long long>(st.ic_checks),
-                static_cast<unsigned long long>(st.ic_violations),
-                static_cast<unsigned long long>(st.steps_skipped_by_filter),
-                static_cast<unsigned long long>(st.collections));
+    PrintStats(engine_.stats(), rules::kEngineStatRows);
     return true;
   }
 
@@ -681,7 +678,6 @@ class Shell {
     t.db = &database_;
     t.engine = &engine_;
     t.clock = &clock_;
-    t.metrics = &metrics_;
     t.temporal = &temporal_;
     return t;
   }
@@ -775,18 +771,10 @@ class Shell {
       std::printf("no durable store attached (use 'durable <dir>')\n");
       return true;
     }
-    storage::WalStats s = durability_->wal_stats();
+    PrintStats(durability_->wal_stats(), storage::kWalStatRows);
     std::printf(
-        "wal: %llu record(s) (%llu state, %llu firing, %llu veto), %llu "
-        "byte(s), %llu sync(s)\n"
         "checkpoints: %llu taken, last id %llu, %llu state(s) since last\n"
         "status: %s\n",
-        static_cast<unsigned long long>(s.records_appended),
-        static_cast<unsigned long long>(s.state_records),
-        static_cast<unsigned long long>(s.firing_records),
-        static_cast<unsigned long long>(s.veto_records),
-        static_cast<unsigned long long>(s.bytes_appended),
-        static_cast<unsigned long long>(s.syncs),
         static_cast<unsigned long long>(durability_->checkpoints_taken()),
         static_cast<unsigned long long>(durability_->last_checkpoint_id()),
         static_cast<unsigned long long>(

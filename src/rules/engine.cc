@@ -89,34 +89,23 @@ RuleEngine::RuleEngine(db::Database* database)
 }
 
 RuleEngine::~RuleEngine() {
-  if (metrics_ != nullptr) metrics_->RemoveProvider(metrics_provider_id_);
+  SetMetrics(nullptr);
   database_->SetListener(nullptr);
 }
 
 // ---- Observability ----------------------------------------------------------
 
 void RuleEngine::SetMetrics(Metrics* metrics) {
-  if (metrics_ != nullptr) metrics_->RemoveProvider(metrics_provider_id_);
+  if (metrics_ != nullptr) {
+    RefreshDerivedMetrics(*metrics_);  // the final totals outlive the detach
+    metrics_->RemoveProvider(metrics_provider_id_);
+  }
   metrics_ = metrics;
   if (metrics_ == nullptr) {
     ins_ = MetricSet{};
     metrics_provider_id_ = 0;
     return;
   }
-  ins_.states_processed = &metrics_->counter("engine.states_processed");
-  ins_.rule_steps = &metrics_->counter("engine.rule_steps");
-  ins_.steps_skipped_by_filter =
-      &metrics_->counter("engine.steps_skipped_by_filter");
-  ins_.actions_executed = &metrics_->counter("engine.actions_executed");
-  ins_.ic_checks = &metrics_->counter("engine.ic_checks");
-  ins_.ic_violations = &metrics_->counter("engine.ic_violations");
-  ins_.instances_created = &metrics_->counter("engine.instances_created");
-  ins_.parallel_dispatches = &metrics_->counter("engine.parallel_dispatches");
-  ins_.collections = &metrics_->counter("engine.collections");
-  ins_.errors = &metrics_->counter("engine.errors");
-  ins_.query_evals = &metrics_->counter("query.evals");
-  ins_.query_memo_hits = &metrics_->counter("query.memo_hits");
-  ins_.snapshot_layout_hits = &metrics_->counter("query.snapshot_layout_hits");
   ins_.gather_ns = &metrics_->histogram("engine.gather_ns");
   ins_.step_ns = &metrics_->histogram("engine.step_ns");
   ins_.merge_ns = &metrics_->histogram("engine.merge_ns");
@@ -126,6 +115,7 @@ void RuleEngine::SetMetrics(Metrics* metrics) {
 }
 
 void RuleEngine::RefreshDerivedMetrics(Metrics& m) {
+  PublishStats(m, stats_, kEngineStatRows);
   m.gauge("engine.rules").Set(static_cast<int64_t>(rules_.size()));
   m.gauge("engine.threads").Set(static_cast<int64_t>(num_threads_));
   m.gauge("engine.batch_queue_depth")
@@ -530,7 +520,6 @@ Result<RuleEngine::Instance*> RuleEngine::MakeInstance(
   rule->instance_index.emplace(ptr->params_key, rule->instances.size());
   rule->instances.push_back(std::move(instance));
   ++stats_.instances_created;
-  MetricAdd(ins_.instances_created);
   return ptr;
 }
 
@@ -658,7 +647,7 @@ std::vector<std::string> RuleEngine::RuleNames() const {
 }
 
 void RuleEngine::ReportError(Status status) {
-  MetricAdd(ins_.errors);
+  ++stats_.errors;
   errors_.push_back(std::move(status));
 }
 
@@ -667,7 +656,6 @@ void RuleEngine::ReportError(Status status) {
 Status RuleEngine::RefreshFamily(Rule* rule) {
   PTLDB_ASSIGN_OR_RETURN(db::Relation domain, database_->Query(rule->domain));
   ++stats_.queries_evaluated;
-  MetricAdd(ins_.query_evals);
   if (domain.schema().num_columns() < rule->param_names.size()) {
     return Status::InvalidArgument(
         StrCat("rule '", rule->name, "': domain query returns ",
@@ -715,10 +703,8 @@ Result<ptl::StateSnapshot> RuleEngine::BuildSnapshot(
     for (const QueryMemo::Layout& layout : *bucket) {
       if (*layout.slots == analysis.slots) {
         ++stats_.snapshot_layout_hits;
-        MetricAdd(ins_.snapshot_layout_hits);
         // A layout hit answers every slot from the memo at once.
         stats_.query_memo_hits += analysis.slots.size();
-        MetricAdd(ins_.query_memo_hits, analysis.slots.size());
         snapshot.query_values = layout.query_values;
         return snapshot;
       }
@@ -730,14 +716,12 @@ Result<ptl::StateSnapshot> RuleEngine::BuildSnapshot(
       auto it = memo->values.find(spec);
       if (it != memo->values.end()) {
         ++stats_.query_memo_hits;
-        MetricAdd(ins_.query_memo_hits);
         snapshot.query_values.push_back(it->second);
         continue;
       }
     }
     PTLDB_ASSIGN_OR_RETURN(Value v, registry_.Eval(spec));
     ++stats_.queries_evaluated;
-    MetricAdd(ins_.query_evals);
     if (memo != nullptr) memo->values.emplace(spec, v);
     snapshot.query_values.push_back(std::move(v));
   }
@@ -808,7 +792,6 @@ void RuleEngine::RunStepTasks(std::span<StepTask> tasks) {
   };
   if (pool_ != nullptr && tasks.size() > 1) {
     ++stats_.parallel_dispatches;
-    MetricAdd(ins_.parallel_dispatches);
     pool_->ParallelFor(tasks.size(), run_one);
   } else {
     for (size_t i = 0; i < tasks.size(); ++i) run_one(i);
@@ -817,14 +800,8 @@ void RuleEngine::RunStepTasks(std::span<StepTask> tasks) {
 
 bool RuleEngine::MergeStepTask(StepTask& task,
                                std::vector<PendingAction>* pending) {
-  if (task.stepped) {
-    ++stats_.rule_steps;
-    MetricAdd(ins_.rule_steps);
-  }
-  if (task.collected) {
-    ++stats_.collections;
-    MetricAdd(ins_.collections);
-  }
+  if (task.stepped) ++stats_.rule_steps;
+  if (task.collected) ++stats_.collections;
   if (!task.status.ok()) {
     ReportError(std::move(task.status));
     return false;
@@ -954,7 +931,6 @@ void RuleEngine::ProcessState(const event::SystemState& state) {
   }
   ++dispatch_depth_;
   ++stats_.states_processed;
-  MetricAdd(ins_.states_processed);
   // Effect recorder: a state appended while an action is on the dispatch
   // stack is that action's doing — charge its row events and raised events
   // to the innermost frame for validation against the declaration.
@@ -1013,7 +989,6 @@ void RuleEngine::ProcessState(const event::SystemState& state) {
     if (rule->options.event_filtered && !rule->event_names.empty() &&
         relevant.count(rule.get()) == 0) {
       stats_.steps_skipped_by_filter += rule->instances.size();
-      MetricAdd(ins_.steps_skipped_by_filter, rule->instances.size());
       continue;
     }
     if (rule->is_family) {
@@ -1080,7 +1055,6 @@ void RuleEngine::RunPendingActions(std::vector<PendingAction> pending) {
   }
   for (const PendingAction& pa : pending) {
     ++stats_.actions_executed;
-    MetricAdd(ins_.actions_executed);
     ++pa.rule->fires;
     if (replay_mode_) {
       // Replay recomputes the firing decision only: the action's database
@@ -1269,7 +1243,6 @@ void RuleEngine::NoteReplayedIcVeto(
     if (it != rule_index_.end()) ++rules_[it->second]->fires;
   }
   ++stats_.ic_violations;
-  MetricAdd(ins_.ic_violations);
 }
 
 Status RuleEngine::SerializeRetainedState(codec::Writer* w) const {
@@ -1315,17 +1288,9 @@ Status RuleEngine::SerializeRetainedState(codec::Writer* w) const {
       instance->ev.SerializeState(w);
     }
   }
-  w->U64(stats_.states_processed);
-  w->U64(stats_.rule_steps);
-  w->U64(stats_.steps_skipped_by_filter);
-  w->U64(stats_.queries_evaluated);
-  w->U64(stats_.actions_executed);
-  w->U64(stats_.ic_checks);
-  w->U64(stats_.ic_violations);
-  w->U64(stats_.instances_created);
-  w->U64(stats_.parallel_dispatches);
-  w->U64(stats_.query_memo_hits);
-  w->U64(stats_.collections);
+  for (const StatRow<EngineStats>& row : kEngineStatRows) {
+    if (row.kind == StatKind::kPersisted) w->U64(stats_.*row.member);
+  }
   return Status::OK();
 }
 
@@ -1425,17 +1390,10 @@ Status RuleEngine::RestoreRetainedState(codec::Reader* r) {
       instance->last_seq = SIZE_MAX;
     }
   }
-  PTLDB_ASSIGN_OR_RETURN(stats_.states_processed, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.rule_steps, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.steps_skipped_by_filter, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.queries_evaluated, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.actions_executed, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.ic_checks, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.ic_violations, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.instances_created, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.parallel_dispatches, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.query_memo_hits, r->U64());
-  PTLDB_ASSIGN_OR_RETURN(stats_.collections, r->U64());
+  for (const StatRow<EngineStats>& row : kEngineStatRows) {
+    if (row.kind != StatKind::kPersisted) continue;
+    PTLDB_ASSIGN_OR_RETURN(stats_.*row.member, r->U64());
+  }
   return Status::OK();
 }
 
@@ -1477,7 +1435,6 @@ Status RuleEngine::OnCommitAttempt(const event::SystemState& prospective,
                                /*allow_collect=*/false, &memo);
     if (!task.ok()) {
       ++stats_.ic_checks;
-      MetricAdd(ins_.ic_checks);
       failure = task.status();
       break;
     }
@@ -1494,11 +1451,7 @@ Status RuleEngine::OnCommitAttempt(const event::SystemState& prospective,
   std::vector<json::Json> probe_records;  // held until the verdict is known
   for (StepTask& task : tasks) {
     ++stats_.ic_checks;
-    MetricAdd(ins_.ic_checks);
-    if (task.stepped) {
-      ++stats_.rule_steps;
-      MetricAdd(ins_.rule_steps);
-    }
+    if (task.stepped) ++stats_.rule_steps;
     if (!task.status.ok()) {
       failure = std::move(task.status);
       break;
@@ -1542,7 +1495,6 @@ Status RuleEngine::OnCommitAttempt(const event::SystemState& prospective,
   }
   if (!failure.ok()) return failure;
   ++stats_.ic_violations;
-  MetricAdd(ins_.ic_violations);
   if (firing_observer_ != nullptr) {
     firing_observer_->OnIcVeto(txn, prospective.time, violated);
   }

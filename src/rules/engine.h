@@ -156,6 +156,32 @@ struct EngineStats {
   /// Node-store collections across all rule instances (proves the
   /// bounded-state policy engages on long runs).
   uint64_t collections = 0;
+  /// Action and internal errors reported (see TakeErrors).
+  uint64_t errors = 0;
+};
+
+/// EngineStats' field table. A checkpoint carries the persisted rows in
+/// table order, so reordering or inserting one changes the checkpoint bytes.
+inline constexpr StatRow<EngineStats> kEngineStatRows[] = {
+    {"engine.states_processed", &EngineStats::states_processed,
+     StatKind::kPersisted},
+    {"engine.rule_steps", &EngineStats::rule_steps, StatKind::kPersisted},
+    {"engine.steps_skipped_by_filter", &EngineStats::steps_skipped_by_filter,
+     StatKind::kPersisted},
+    {"query.evals", &EngineStats::queries_evaluated, StatKind::kPersisted},
+    {"engine.actions_executed", &EngineStats::actions_executed,
+     StatKind::kPersisted},
+    {"engine.ic_checks", &EngineStats::ic_checks, StatKind::kPersisted},
+    {"engine.ic_violations", &EngineStats::ic_violations,
+     StatKind::kPersisted},
+    {"engine.instances_created", &EngineStats::instances_created,
+     StatKind::kPersisted},
+    {"engine.parallel_dispatches", &EngineStats::parallel_dispatches,
+     StatKind::kPersisted},
+    {"query.memo_hits", &EngineStats::query_memo_hits, StatKind::kPersisted},
+    {"engine.collections", &EngineStats::collections, StatKind::kPersisted},
+    {"query.snapshot_layout_hits", &EngineStats::snapshot_layout_hits},
+    {"engine.errors", &EngineStats::errors},
 };
 
 class RuleEngine : public db::Database::Listener {
@@ -316,11 +342,11 @@ class RuleEngine : public db::Database::Listener {
 
   // ---- Observability ----
 
-  /// Attaches a metrics registry (nullptr detaches). The engine publishes
-  /// counters/histograms as it runs and registers a provider that refreshes
-  /// derived gauges (per-rule retained nodes, pool/queue state, evaluator
-  /// totals) whenever `metrics->ToJson()` snapshots. The registry must
-  /// outlive the engine or be detached first.
+  /// Attaches a metrics registry (nullptr detaches). The engine times its
+  /// phases into histograms and registers a provider that, at each snapshot,
+  /// publishes stats() and derived gauges (per-rule retained nodes,
+  /// pool/queue state, evaluator totals). Detaching and destruction publish
+  /// once more. The registry must outlive the engine or be detached first.
   void SetMetrics(Metrics* metrics);
   Metrics* metrics() const { return metrics_; }
 
@@ -569,7 +595,7 @@ class RuleEngine : public db::Database::Listener {
 
   void RebuildEventIndex();
 
-  /// Provider callback: refreshes derived gauges at snapshot time.
+  /// Provider callback: publishes stats_ and derived gauges.
   void RefreshDerivedMetrics(Metrics& m);
 
   /// Maps the registered population to analyzer inputs (AnalyzeRuleSet).
@@ -643,25 +669,12 @@ class RuleEngine : public db::Database::Listener {
                       std::vector<eval::IncrementalEvaluator::WitnessLink>
                           chain);
 
-  // Observability: cached instrument pointers, null when detached, so the
-  // hot path pays one branch per update and nothing else.
+  // Observability: cached phase histograms, null when detached, so the hot
+  // path pays one branch per timer and nothing else.
   trace::Recorder* trace_ = nullptr;
   Metrics* metrics_ = nullptr;
   uint64_t metrics_provider_id_ = 0;
   struct MetricSet {
-    Metrics::Counter* states_processed = nullptr;
-    Metrics::Counter* rule_steps = nullptr;
-    Metrics::Counter* steps_skipped_by_filter = nullptr;
-    Metrics::Counter* actions_executed = nullptr;
-    Metrics::Counter* ic_checks = nullptr;
-    Metrics::Counter* ic_violations = nullptr;
-    Metrics::Counter* instances_created = nullptr;
-    Metrics::Counter* parallel_dispatches = nullptr;
-    Metrics::Counter* collections = nullptr;
-    Metrics::Counter* errors = nullptr;
-    Metrics::Counter* query_evals = nullptr;
-    Metrics::Counter* query_memo_hits = nullptr;
-    Metrics::Counter* snapshot_layout_hits = nullptr;
     Metrics::Histogram* gather_ns = nullptr;
     Metrics::Histogram* step_ns = nullptr;
     Metrics::Histogram* merge_ns = nullptr;

@@ -103,6 +103,11 @@ Status Server::Start() {
   port_ = ntohs(addr.sin_port);
   listen_fd_.store(lfd);
   if (options_.max_batch > 1) engine_->SetBatching(options_.max_batch);
+  if (options_.metrics != nullptr && mgr_ != nullptr) {
+    // Snapshots run on the engine thread (STATS), which also drives the WAL.
+    storage_provider_id_ = options_.metrics->AddProvider(
+        [mgr = mgr_](Metrics& m) { mgr->PublishMetrics(m); });
+  }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   engine_thread_ = std::thread([this] { EngineLoop(); });
   return Status::OK();
@@ -134,6 +139,11 @@ void Server::Stop() {
   // The engine thread drains whatever the readers admitted, then exits.
   queue_nonempty_.notify_all();
   if (engine_thread_.joinable()) engine_thread_.join();
+  if (storage_provider_id_ != 0) {
+    mgr_->PublishMetrics(*options_.metrics);  // final totals outlive the stop
+    options_.metrics->RemoveProvider(storage_provider_id_);
+    storage_provider_id_ = 0;
+  }
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
     for (auto& s : sessions_) CloseSession(s.get());

@@ -72,7 +72,8 @@ struct ServerOptions {
   /// Optional observability registry (not owned; may be null). When set, the
   /// serving path stamps every request at frame read and threads the
   /// timestamp through the pipeline, decomposing wire-to-ack latency into
-  /// per-stage histograms (`server.stage.*_ns`, DESIGN.md §15).
+  /// per-stage histograms (`server.stage.*_ns`, DESIGN.md §15). With a
+  /// durability manager, it also publishes the `wal.*` and `group.*` rows.
   Metrics* metrics = nullptr;
 
   /// Optional trace recorder (not owned; may be null). When attached and
@@ -217,6 +218,8 @@ class Server {
   /// path) so trace spans can report shed counts without a metrics registry.
   std::atomic<uint64_t> rejections_total_{0};
   uint64_t last_rejections_seen_ = 0;  // engine-thread only
+
+  uint64_t storage_provider_id_ = 0;  // publishes mgr_'s stats; 0 = none
 
   // Cached instruments (null when options_.metrics is null).
   Metrics::Gauge* g_queue_depth_ = nullptr;

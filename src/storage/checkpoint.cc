@@ -23,7 +23,7 @@ Status EncodeCheckpoint(uint64_t id, const CheckpointTargets& targets,
   PTLDB_RETURN_IF_ERROR(db.SerializeContents(&w));
   PTLDB_RETURN_IF_ERROR(targets.engine->SerializeRetainedState(&w));
   w.Bool(false);  // retired valid-time section
-  w.Str(targets.metrics != nullptr ? targets.metrics->ToJson() : std::string());
+  w.Str("");  // retired metrics snapshot (nothing read it back)
   // Temporal section last: bodies written before the subsystem existed simply
   // end here, and the restore side treats "no bytes left" as "no store".
   w.Bool(targets.temporal != nullptr);
@@ -161,7 +161,7 @@ Result<CheckpointInfo> RestoreCheckpoint(const std::string& body,
         "checkpoint holds a valid-time store section, which is retired: "
         "VtDatabase commits never reach the WAL, so it cannot be recovered");
   }
-  PTLDB_ASSIGN_OR_RETURN(info.metrics_json, r.Str());
+  PTLDB_RETURN_IF_ERROR(r.Str().status());  // retired metrics snapshot
   if (r.remaining() > 0) {  // dumps predating the temporal subsystem end here
     PTLDB_ASSIGN_OR_RETURN(bool has_temporal, r.Bool());
     if (has_temporal) {

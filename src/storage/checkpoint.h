@@ -4,10 +4,11 @@
 // A checkpoint serializes everything a restarted process cannot recompute
 // from code alone: the database contents and history position, the rule
 // engine's per-instance F_{g,i} and-or graphs and aggregate machines, the
-// version store, the logical clock, and a metrics snapshot (informational).
-// The body still carries a presence byte for a valid-time store section,
-// always written 0: VtDatabase commits never reach the WAL, so the section
-// is retired and restoring a body that sets it fails.
+// version store, and the logical clock. The body still carries two retired
+// slots: a presence byte for a valid-time store section, always written 0
+// (VtDatabase commits never reach the WAL, so restoring a body that sets it
+// fails), and a metrics-snapshot string, written empty and skipped on
+// restore.
 //
 // Directory layout (LevelDB-style):
 //
@@ -26,7 +27,6 @@
 #include <string>
 
 #include "common/clock.h"
-#include "common/metrics.h"
 #include "common/status.h"
 #include "db/database.h"
 #include "rules/engine.h"
@@ -41,12 +41,11 @@ inline constexpr char kCurrentFileName[] = "CURRENT";
 inline constexpr char kWalFileName[] = "wal.log";
 inline constexpr char kCheckpointFilePrefix[] = "checkpoint-";
 
-/// The components a checkpoint covers. `metrics` and `temporal` may be null.
+/// The components a checkpoint covers. `temporal` may be null.
 struct CheckpointTargets {
   db::Database* db = nullptr;
   rules::RuleEngine* engine = nullptr;
   Clock* clock = nullptr;
-  Metrics* metrics = nullptr;
   /// System-period version store; serialized last in the body so dumps from
   /// before the temporal subsystem restore unchanged.
   temporal::VersionStore* temporal = nullptr;
@@ -57,7 +56,6 @@ struct CheckpointInfo {
   uint64_t id = 0;
   uint64_t history_size = 0;
   Timestamp clock_now = 0;
-  std::string metrics_json;  // snapshot taken at checkpoint time ("" if none)
 };
 
 /// Serializes the full retained state of `targets` into a checkpoint body

@@ -92,17 +92,14 @@ Status DurabilityManager::WaitWalDurable() {
 }
 
 Status DurabilityManager::OpenFreshWal() {
-  if (wal_ != nullptr) {
-    stats_snapshot_ = wal_stats();  // fold the retiring log into the total
-    wal_.reset();
-  }
+  wal_.reset();
   PTLDB_ASSIGN_OR_RETURN(
       std::unique_ptr<WritableFile> file,
       factory_->OpenWritable(StrCat(options_.dir, "/", kWalFileName),
                              /*truncate=*/true));
   PTLDB_ASSIGN_OR_RETURN(
       WalWriter writer,
-      WalWriter::Create(std::move(file), /*existing_bytes=*/0, options_.fsync));
+      WalWriter::Create(std::move(file), options_.fsync, &wal_stats_));
   wal_ = std::make_unique<WalWriter>(std::move(writer));
   if (options_.fsync == FsyncPolicy::kGroup) {
     if (group_ == nullptr) {
@@ -164,19 +161,9 @@ Status DurabilityManager::Checkpoint() {
   return Status::OK();
 }
 
-WalStats DurabilityManager::wal_stats() const {
-  WalStats total = stats_snapshot_;
-  if (wal_ != nullptr) {
-    const WalStats& s = wal_->stats();
-    total.records_appended += s.records_appended;
-    total.bytes_appended += s.bytes_appended;
-    total.syncs += s.syncs;
-    total.state_records += s.state_records;
-    total.firing_records += s.firing_records;
-    total.veto_records += s.veto_records;
-    total.temporal_records += s.temporal_records;
-  }
-  return total;
+void DurabilityManager::PublishMetrics(Metrics& m) const {
+  PublishStats(m, wal_stats_, kWalStatRows);
+  if (group_ != nullptr) PublishStats(m, group_->stats(), kGroupCommitStatRows);
 }
 
 void DurabilityManager::BufferDelta(db::RedoDelta delta) {

@@ -33,6 +33,7 @@
 #include <string>
 #include <vector>
 
+#include "common/metrics.h"
 #include "storage/checkpoint.h"
 #include "storage/group_commit.h"
 #include "storage/recovery.h"
@@ -63,7 +64,7 @@ class DurabilityManager : public db::Database::WalSink,
   /// Attaches durability to live components. Writes a checkpoint of the
   /// current state (id 0 on a fresh directory, last+1 on an existing one —
   /// e.g. right after Recover) and starts a fresh WAL.
-  /// `metrics`/`temporal` in `targets` may be null; `db`, `engine`,
+  /// `temporal` in `targets` may be null; `db`, `engine`,
   /// `clock` are required.
   static Result<std::unique_ptr<DurabilityManager>> Attach(
       DurabilityOptions options, CheckpointTargets targets);
@@ -96,8 +97,10 @@ class DurabilityManager : public db::Database::WalSink,
   /// policies explicitly trade away the guarantee.
   Status WaitWalDurable();
 
-  /// Aggregate WAL statistics across checkpoints (WAL resets included).
-  WalStats wal_stats() const;
+  /// WAL statistics across checkpoints (every log it opens adds to them).
+  const WalStats& wal_stats() const { return wal_stats_; }
+  /// Publishes wal_stats() and, under kGroup, group()->stats().
+  void PublishMetrics(Metrics& m) const;
   uint64_t last_checkpoint_id() const { return checkpoint_id_; }
   uint64_t checkpoints_taken() const { return checkpoints_taken_; }
   /// States appended since the last checkpoint (the WAL tail length).
@@ -143,7 +146,7 @@ class DurabilityManager : public db::Database::WalSink,
   uint64_t checkpoints_taken_ = 0;
   uint64_t states_since_checkpoint_ = 0;
   bool in_checkpoint_ = false;
-  WalStats stats_snapshot_;  // aggregate across WAL resets
+  WalStats wal_stats_;  // bumped by every WalWriter the manager opens
 };
 
 }  // namespace ptldb::storage

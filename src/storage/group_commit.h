@@ -34,6 +34,7 @@
 #include <functional>
 #include <mutex>
 
+#include "common/metrics.h"
 #include "common/status.h"
 #include "storage/wal.h"
 
@@ -51,6 +52,16 @@ struct GroupCommitStats {
   uint64_t commits_coalesced = 0;
   /// Most commits retired by a single fsync.
   uint64_t max_batch = 0;
+};
+
+/// GroupCommitStats' field table (see StatRow): the `group.*` registry names.
+/// max_batch is a maximum, not a count, so it publishes as a gauge.
+inline constexpr StatRow<GroupCommitStats> kGroupCommitStatRows[] = {
+    {"group.appends", &GroupCommitStats::appends},
+    {"group.sync_batches", &GroupCommitStats::sync_batches},
+    {"group.commits_acked", &GroupCommitStats::commits_acked},
+    {"group.commits_coalesced", &GroupCommitStats::commits_coalesced},
+    {"group.max_batch", &GroupCommitStats::max_batch, StatKind::kGauge},
 };
 
 class GroupCommitter {

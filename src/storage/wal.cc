@@ -132,14 +132,11 @@ Result<WalRecord> DecodeWalRecord(std::string_view payload) {
 // ---- WalWriter --------------------------------------------------------------
 
 Result<WalWriter> WalWriter::Create(std::unique_ptr<WritableFile> file,
-                                    uint64_t existing_bytes,
-                                    FsyncPolicy policy) {
-  WalWriter writer(std::move(file), policy);
-  if (existing_bytes == 0) {
-    PTLDB_RETURN_IF_ERROR(
-        writer.file_->Append(std::string_view(kWalMagic, kWalMagicLen)));
-    writer.stats_.bytes_appended += kWalMagicLen;
-  }
+                                    FsyncPolicy policy, WalStats* stats) {
+  WalWriter writer(std::move(file), policy, stats);
+  PTLDB_RETURN_IF_ERROR(
+      writer.file_->Append(std::string_view(kWalMagic, kWalMagicLen)));
+  stats->bytes_appended += kWalMagicLen;
   return writer;
 }
 
@@ -150,8 +147,8 @@ Status WalWriter::AppendFramed(const std::string& payload) {
   w.U32(codec::Crc32c(payload.data(), payload.size()));
   frame += payload;
   PTLDB_RETURN_IF_ERROR(file_->Append(frame));
-  ++stats_.records_appended;
-  stats_.bytes_appended += frame.size();
+  ++stats_->records_appended;
+  stats_->bytes_appended += frame.size();
   ++records_since_sync_;
   if (policy_ == FsyncPolicy::kSync ||
       (policy_ == FsyncPolicy::kAsync &&
@@ -163,13 +160,13 @@ Status WalWriter::AppendFramed(const std::string& payload) {
 
 Status WalWriter::Sync() {
   PTLDB_RETURN_IF_ERROR(file_->Sync());
-  ++stats_.syncs;
+  ++stats_->syncs;
   records_since_sync_ = 0;
   return Status::OK();
 }
 
 Status WalWriter::AppendState(const WalStateRecord& rec) {
-  ++stats_.state_records;
+  ++stats_->state_records;
   WalRecord r;
   r.type = WalRecordType::kState;
   r.state = rec;
@@ -177,7 +174,7 @@ Status WalWriter::AppendState(const WalStateRecord& rec) {
 }
 
 Status WalWriter::AppendFiring(const WalFiringRecord& rec) {
-  ++stats_.firing_records;
+  ++stats_->firing_records;
   WalRecord r;
   r.type = WalRecordType::kFiring;
   r.firing = rec;
@@ -185,7 +182,7 @@ Status WalWriter::AppendFiring(const WalFiringRecord& rec) {
 }
 
 Status WalWriter::AppendIcVeto(const WalIcVetoRecord& rec) {
-  ++stats_.veto_records;
+  ++stats_->veto_records;
   WalRecord r;
   r.type = WalRecordType::kIcVeto;
   r.veto = rec;
@@ -200,7 +197,7 @@ Status WalWriter::AppendCheckpoint(const WalCheckpointRecord& rec) {
 }
 
 Status WalWriter::AppendTemporal(const WalTemporalRecord& rec) {
-  ++stats_.temporal_records;
+  ++stats_->temporal_records;
   WalRecord r;
   r.type = WalRecordType::kTemporal;
   r.temporal = rec;

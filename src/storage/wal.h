@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "common/codec.h"
+#include "common/metrics.h"
 #include "common/status.h"
 #include "common/value.h"
 #include "db/transaction.h"
@@ -112,13 +113,24 @@ struct WalStats {
   uint64_t temporal_records = 0;
 };
 
+/// WalStats' field table (see StatRow): the `wal.*` registry names.
+inline constexpr StatRow<WalStats> kWalStatRows[] = {
+    {"wal.records_appended", &WalStats::records_appended},
+    {"wal.bytes_appended", &WalStats::bytes_appended},
+    {"wal.syncs", &WalStats::syncs},
+    {"wal.state_records", &WalStats::state_records},
+    {"wal.firing_records", &WalStats::firing_records},
+    {"wal.veto_records", &WalStats::veto_records},
+    {"wal.temporal_records", &WalStats::temporal_records},
+};
+
 class WalWriter {
  public:
-  /// `file` must be positioned at the end of a valid log (or empty, in which
-  /// case the magic is written first). `existing_bytes` is the current file
-  /// size, so stats and fault offsets count from the true file position.
+  /// Starts a log in the empty `file` by writing the magic. The writer adds
+  /// its counts to `*stats` (not owned; must outlive the writer), so one
+  /// struct can total every log a durability manager opens.
   static Result<WalWriter> Create(std::unique_ptr<WritableFile> file,
-                                  uint64_t existing_bytes, FsyncPolicy policy);
+                                  FsyncPolicy policy, WalStats* stats);
 
   Status AppendState(const WalStateRecord& rec);
   Status AppendFiring(const WalFiringRecord& rec);
@@ -129,18 +141,18 @@ class WalWriter {
   /// Forces an fsync regardless of policy (checkpoint barrier).
   Status Sync();
 
-  const WalStats& stats() const { return stats_; }
   FsyncPolicy policy() const { return policy_; }
 
  private:
-  WalWriter(std::unique_ptr<WritableFile> file, FsyncPolicy policy)
-      : file_(std::move(file)), policy_(policy) {}
+  WalWriter(std::unique_ptr<WritableFile> file, FsyncPolicy policy,
+            WalStats* stats)
+      : file_(std::move(file)), policy_(policy), stats_(stats) {}
 
   Status AppendFramed(const std::string& payload);
 
   std::unique_ptr<WritableFile> file_;
   FsyncPolicy policy_;
-  WalStats stats_;
+  WalStats* stats_;
   uint64_t records_since_sync_ = 0;
 };
 

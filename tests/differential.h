@@ -387,13 +387,18 @@ inline std::string RenderFirings(const std::vector<rules::Firing>& firings) {
   return out;
 }
 
-// Fills in the end-of-run observables.
+// Fills in the end-of-run observables: every engine counter a checkpoint
+// carries, the history length, and the tables.
 inline void Seal(World& w, Observed* out) {
   const rules::EngineStats& st = w.engine.stats();
-  out->counters = StrCat("steps=", st.rule_steps,
-                         " actions=", st.actions_executed,
-                         " ic_violations=", st.ic_violations,
-                         " history=", w.db.history().size(), "\n");
+  out->counters.clear();
+  for (const StatRow<rules::EngineStats>& row : rules::kEngineStatRows) {
+    if (row.kind != StatKind::kPersisted) continue;
+    // How often steps fan out over the pool depends on the thread count.
+    if (row.member == &rules::EngineStats::parallel_dispatches) continue;
+    out->counters += StrCat(row.name, "=", st.*row.member, " ");
+  }
+  out->counters += StrCat("history=", w.db.history().size(), "\n");
   out->tables = w.Tables();
 }
 

@@ -120,6 +120,28 @@ TEST(MetricsTest, NullSafeHelpersAreNoOps) {
   EXPECT_EQ(c.Get(), 3u);
 }
 
+TEST(MetricsTest, PublishStatsMirrorsEachRowByKind) {
+  struct Stats {
+    uint64_t events = 0;
+    uint64_t peak = 0;
+  };
+  constexpr StatRow<Stats> kRows[] = {
+      {"s.events", &Stats::events, StatKind::kCounter},
+      {"s.peak", &Stats::peak, StatKind::kGauge},
+  };
+  Metrics m;
+  Stats stats{.events = 7, .peak = 3};
+  PublishStats(m, stats, kRows);
+  MetricsSnapshot t0 = m.TakeSnapshot();
+  EXPECT_EQ(t0.counters.at("s.events"), 7u);
+  EXPECT_EQ(t0.gauges.at("s.peak"), 3);
+  // A second publication overwrites rather than adds, so deltas between
+  // snapshots are the counts in between.
+  stats.events = 10;
+  PublishStats(m, stats, kRows);
+  EXPECT_EQ(m.TakeSnapshot().DeltaSince(t0).counters.at("s.events"), 3u);
+}
+
 TEST(MetricsTest, ScopedTimerObservesElapsed) {
   Metrics m;
   Metrics::Histogram& h = m.histogram("t");

@@ -25,6 +25,7 @@
 #include "server/client.h"
 #include "server/protocol.h"
 #include "server/server.h"
+#include "storage/durability.h"
 #include "testutil.h"
 
 namespace ptldb::server {
@@ -211,6 +212,71 @@ TEST(ServerObservabilityTest, StatsServesBothExpositionFormats) {
             std::string::npos);
   client.Close();
   srv.Stop();
+}
+
+TEST(ServerObservabilityTest, StorageCountersPublishedUnderGroupCommit) {
+  fs::path dir = fs::path(::testing::TempDir()) / "ptldb_obs_storage";
+  fs::remove_all(dir);
+  ObsWorld world;
+  storage::DurabilityOptions dopts;
+  dopts.dir = dir.string();
+  dopts.fsync = storage::FsyncPolicy::kGroup;
+  ASSERT_OK_AND_ASSIGN(
+      auto mgr,
+      storage::DurabilityManager::Attach(
+          dopts,
+          {.db = &world.db, .engine = &world.engine, .clock = &world.clock}));
+  Metrics metrics;
+  ServerOptions opts;
+  opts.metrics = &metrics;
+  Server srv(opts, &world.db, &world.engine, mgr.get());
+  ASSERT_OK(srv.Start());
+
+  Client client;
+  ASSERT_OK(client.Connect(srv.port()));
+  for (int i = 0; i < 5; ++i) {
+    auto resp = client.Call(InsertTick(i));
+    ASSERT_OK(resp.status());
+    EXPECT_EQ(resp->code, StatusCode::kOk);
+  }
+  Request stats;
+  stats.type = MsgType::kStats;
+  auto resp = client.Call(stats);
+  ASSERT_OK(resp.status());
+  ASSERT_EQ(resp->code, StatusCode::kOk);
+  ASSERT_OK_AND_ASSIGN(json::Json doc, json::Parse(resp->text));
+  // Every row appears, in the section its kind names; the rows this
+  // workload drives (state records, group-commit fsyncs) are nonzero.
+  auto value = [&doc](const char* name, StatKind kind) -> int64_t {
+    const json::Json* section =
+        doc.Find(kind == StatKind::kGauge ? "gauges" : "counters");
+    const json::Json* v = section != nullptr ? section->Find(name) : nullptr;
+    if (v == nullptr) {
+      ADD_FAILURE() << name << " missing from\n" << doc.Dump();
+      return -1;
+    }
+    return v->AsInt64().value();
+  };
+  for (const auto& row : storage::kWalStatRows) value(row.name, row.kind);
+  for (const auto& row : storage::kGroupCommitStatRows) {
+    value(row.name, row.kind);
+  }
+  for (const char* name : {"wal.records_appended", "wal.bytes_appended",
+                           "wal.syncs", "wal.state_records", "group.appends",
+                           "group.sync_batches", "group.commits_acked"}) {
+    EXPECT_GT(value(name, StatKind::kCounter), 0) << name;
+  }
+  EXPECT_GE(value("group.max_batch", StatKind::kGauge), 1);
+  client.Close();
+  srv.Stop();
+
+  // Stop published the final totals before removing the provider.
+  EXPECT_EQ(metrics.counter("wal.bytes_appended").Get(),
+            mgr->wal_stats().bytes_appended);
+  EXPECT_EQ(metrics.counter("group.sync_batches").Get(),
+            mgr->group()->stats().sync_batches);
+  mgr.reset();
+  fs::remove_all(dir);
 }
 
 TEST(ServerObservabilityTest, StatsDeltaWindowsArePerSession) {

@@ -80,9 +80,9 @@ TEST(ShellTest, StatsAndExplainRender) {
   EXPECT_NE(out.find("rule hot"), std::string::npos) << out;
   EXPECT_NE(out.find("store_nodes="), std::string::npos);
   EXPECT_NE(out.find("no rule named 'ghost'"), std::string::npos);
-  // Plain stats: one summary line from EngineStats.
-  EXPECT_NE(out.find("states="), std::string::npos);
-  EXPECT_NE(out.find("collections="), std::string::npos);
+  // Plain stats: one line per EngineStats row, under its registry name.
+  EXPECT_NE(out.find("engine.states_processed"), std::string::npos);
+  EXPECT_NE(out.find("engine.collections"), std::string::npos);
   // JSON stats: the full registry snapshot with per-rule gauges.
   EXPECT_NE(out.find("\"counters\""), std::string::npos);
   EXPECT_NE(out.find("\"rule.hot.steps\""), std::string::npos);

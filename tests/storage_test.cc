@@ -130,7 +130,8 @@ std::string WriteSampleWal(const std::string& path, FsyncPolicy policy) {
   PosixFileFactory factory;
   auto file = factory.OpenWritable(path, /*truncate=*/true);
   PTLDB_CHECK_OK(file.status());
-  auto writer = WalWriter::Create(std::move(file).value(), 0, policy);
+  WalStats stats;
+  auto writer = WalWriter::Create(std::move(file).value(), policy, &stats);
   PTLDB_CHECK_OK(writer.status());
   WalRecord state = SampleStateRecord();
   PTLDB_CHECK_OK(writer->AppendState(state.state));
@@ -336,14 +337,16 @@ TEST_F(StorageTest, LatestCheckpointFallsBackWhenCurrentIsCorrupt) {
 TEST_F(StorageTest, AsyncPolicySyncsEveryInterval) {
   PosixFileFactory factory;
   ASSERT_OK_AND_ASSIGN(auto file, factory.OpenWritable(Path("wal.log"), true));
+  WalStats wal_stats;
   ASSERT_OK_AND_ASSIGN(WalWriter writer,
-                       WalWriter::Create(std::move(file), 0, FsyncPolicy::kAsync));
+                       WalWriter::Create(std::move(file), FsyncPolicy::kAsync,
+                                         &wal_stats));
   for (uint64_t i = 0; i < kAsyncSyncInterval + 1; ++i) {
     ASSERT_OK(writer.AppendFiring({"r", "", static_cast<Timestamp>(i)}));
   }
-  EXPECT_EQ(writer.stats().syncs, 1u);
-  EXPECT_EQ(writer.stats().records_appended, kAsyncSyncInterval + 1);
-  EXPECT_EQ(writer.stats().firing_records, kAsyncSyncInterval + 1);
+  EXPECT_EQ(wal_stats.syncs, 1u);
+  EXPECT_EQ(wal_stats.records_appended, kAsyncSyncInterval + 1);
+  EXPECT_EQ(wal_stats.firing_records, kAsyncSyncInterval + 1);
 }
 
 // ---- Group commit ----------------------------------------------------------
@@ -351,19 +354,23 @@ TEST_F(StorageTest, AsyncPolicySyncsEveryInterval) {
 TEST_F(StorageTest, GroupPolicyNeverSyncsAtAppend) {
   PosixFileFactory factory;
   ASSERT_OK_AND_ASSIGN(auto file, factory.OpenWritable(Path("wal.log"), true));
+  WalStats wal_stats;
   ASSERT_OK_AND_ASSIGN(WalWriter writer,
-                       WalWriter::Create(std::move(file), 0, FsyncPolicy::kGroup));
+                       WalWriter::Create(std::move(file), FsyncPolicy::kGroup,
+                                         &wal_stats));
   for (uint64_t i = 0; i < kAsyncSyncInterval * 2; ++i) {
     ASSERT_OK(writer.AppendFiring({"r", "", static_cast<Timestamp>(i)}));
   }
-  EXPECT_EQ(writer.stats().syncs, 0u);
+  EXPECT_EQ(wal_stats.syncs, 0u);
 }
 
 TEST_F(StorageTest, GroupCommitBatchBoundariesDeterministic) {
   PosixFileFactory factory;
   ASSERT_OK_AND_ASSIGN(auto file, factory.OpenWritable(Path("wal.log"), true));
+  WalStats wal_stats;
   ASSERT_OK_AND_ASSIGN(WalWriter writer,
-                       WalWriter::Create(std::move(file), 0, FsyncPolicy::kGroup));
+                       WalWriter::Create(std::move(file), FsyncPolicy::kGroup,
+                                         &wal_stats));
   GroupCommitter group(&writer);
   auto append_one = [&]() {
     auto lsn = group.Append([](WalWriter* w) {
@@ -381,9 +388,9 @@ TEST_F(StorageTest, GroupCommitBatchBoundariesDeterministic) {
   EXPECT_EQ(group.durable_lsn(), 0u);
   ASSERT_OK(group.WaitDurable(lsns[4]));
   EXPECT_EQ(group.durable_lsn(), 5u);
-  EXPECT_EQ(writer.stats().syncs, 1u);
+  EXPECT_EQ(wal_stats.syncs, 1u);
   ASSERT_OK(group.WaitDurable(lsns[1]));  // already durable: no new sync
-  EXPECT_EQ(writer.stats().syncs, 1u);
+  EXPECT_EQ(wal_stats.syncs, 1u);
 
   GroupCommitStats stats = group.stats();
   EXPECT_EQ(stats.appends, 5u);
@@ -396,9 +403,9 @@ TEST_F(StorageTest, GroupCommitBatchBoundariesDeterministic) {
   uint64_t lsn6 = append_one();
   EXPECT_EQ(group.WaitDurable(lsn6 + 1).code(), StatusCode::kInvalidArgument);
   ASSERT_OK(group.WaitDurable(lsn6));
-  EXPECT_EQ(writer.stats().syncs, 2u);
+  EXPECT_EQ(wal_stats.syncs, 2u);
   ASSERT_OK(group.SyncAll());  // tail already durable: no-op
-  EXPECT_EQ(writer.stats().syncs, 2u);
+  EXPECT_EQ(wal_stats.syncs, 2u);
 }
 
 TEST_F(StorageTest, GroupCommitConcurrentWaitersCoalesce) {
@@ -437,10 +444,11 @@ TEST_F(StorageTest, GroupCommitConcurrentWaitersCoalesce) {
         auto base,
         factory.OpenWritable(Path("wal" + std::to_string(attempt) + ".log"),
                              true));
+    WalStats wal_stats;
     ASSERT_OK_AND_ASSIGN(
         WalWriter writer,
-        WalWriter::Create(std::make_unique<SlowSyncFile>(std::move(base)), 0,
-                          FsyncPolicy::kGroup));
+        WalWriter::Create(std::make_unique<SlowSyncFile>(std::move(base)),
+                          FsyncPolicy::kGroup, &wal_stats));
     GroupCommitter group(&writer);
 
     std::vector<std::thread> threads;
@@ -464,7 +472,7 @@ TEST_F(StorageTest, GroupCommitConcurrentWaitersCoalesce) {
     EXPECT_EQ(stats.appends, kTotal);
     EXPECT_EQ(stats.commits_acked, kTotal);
     EXPECT_EQ(stats.sync_batches + stats.commits_coalesced, kTotal);
-    EXPECT_EQ(writer.stats().syncs, stats.sync_batches);
+    EXPECT_EQ(wal_stats.syncs, stats.sync_batches);
     if (stats.max_batch > 1u) break;
   }
   EXPECT_LT(stats.sync_batches, kTotal);  // some fsyncs retired >1 commit
@@ -495,10 +503,11 @@ TEST_F(StorageTest, GroupCommitSyncFailureIsStickyForAllWaiters) {
 
   PosixFileFactory factory;
   ASSERT_OK_AND_ASSIGN(auto base, factory.OpenWritable(Path("wal.log"), true));
+  WalStats wal_stats;
   ASSERT_OK_AND_ASSIGN(
       WalWriter writer,
       WalWriter::Create(std::make_unique<FailingSyncFile>(std::move(base), 1),
-                        0, FsyncPolicy::kGroup));
+                        FsyncPolicy::kGroup, &wal_stats));
   GroupCommitter group(&writer);
 
   auto append_one = [&]() {

@@ -2,7 +2,8 @@
 //
 // Polls the server's STATS_DELTA request and renders per-window rates and
 // the wire-to-ack latency decomposition: event and firing rates, queue
-// depth, admission rejects, and p50/p99 per pipeline stage
+// depth, admission rejects, WAL bytes and fsyncs per second with commits
+// per group-commit sync, and p50/p99 per pipeline stage
 // (read/queue/batch/apply/eval/commit/ack — DESIGN.md §15). Because the
 // delta is computed server-side against this session's previous poll, the
 // numbers are true per-window distributions, not lifetime aggregates.
@@ -99,6 +100,15 @@ void RenderText(const json::Json& stats, double window_s, bool clear_screen) {
       static_cast<unsigned long long>(U(counters, "server.busy_rejections")),
       static_cast<unsigned long long>(U(counters, "server.slow_events")),
       static_cast<unsigned long long>(U(counters, "server.batches")));
+  // Each acked request is one transaction; a group-commit fsync retires a
+  // whole batch of them.
+  const uint64_t group_syncs = U(counters, "group.sync_batches");
+  std::printf(
+      "  wal %10.1f B/s   fsyncs %8.1f/s   commits/sync %6.1f\n",
+      rate("wal.bytes_appended"), rate("wal.syncs"),
+      group_syncs > 0 ? static_cast<double>(U(counters, "server.acked")) /
+                            static_cast<double>(group_syncs)
+                      : 0.0);
   std::printf("  %-8s %10s %10s %10s %10s\n", "stage", "count", "mean_us",
               "p50_us", "p99_us");
   double stage_sum_mean_us = 0;
