@@ -7,6 +7,46 @@
 
 namespace ptldb::db {
 
+Result<Database::PlanCache::Plan> Database::PlanCache::Get(
+    bool expression, std::string_view text) {
+  std::lock_guard<std::mutex> lock(mu_);
+  auto it = index_.find(Key{expression, text});
+  if (it != index_.end()) {
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->plan;
+  }
+  Plan plan;
+  if (expression) {
+    PTLDB_ASSIGN_OR_RETURN(plan.expression, ParseSqlExpr(text));
+  } else {
+    PTLDB_ASSIGN_OR_RETURN(plan.statement, ParseSql(text));
+  }
+  if (lru_.size() == kPlanCacheCapacity) {
+    index_.erase(Key{lru_.back().expression, lru_.back().text});
+    lru_.pop_back();
+  }
+  lru_.push_front(Entry{expression, std::string(text), plan});
+  index_.emplace(Key{expression, lru_.front().text}, lru_.begin());
+  return plan;
+}
+
+Result<QueryPtr> Database::PlanCache::Statement(std::string_view sql) {
+  PTLDB_ASSIGN_OR_RETURN(Plan plan, Get(false, sql));
+  return plan.statement;
+}
+
+Result<ExprPtr> Database::PlanCache::Expression(std::string_view text) {
+  PTLDB_ASSIGN_OR_RETURN(Plan plan, Get(true, text));
+  return plan.expression;
+}
+
+size_t Database::PlanCache::size() const {
+  std::lock_guard<std::mutex> lock(mu_);
+  return lru_.size();
+}
+
+size_t Database::plan_cache_size() const { return plans_.size(); }
+
 Status Database::CreateTable(std::string name, Schema schema,
                              std::vector<std::string> primary_key) {
   return catalog_.CreateTable(std::move(name), std::move(schema),
@@ -172,6 +212,9 @@ Status Database::Insert(int64_t txn_id, const std::string& table_name,
                         Tuple row) {
   PTLDB_ASSIGN_OR_RETURN(Transaction * txn, GetTxn(txn_id));
   PTLDB_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(table_name));
+  // Undo, redo and the row event carry the row as stored: an abort must find
+  // it and the version store must archive what later updates supersede.
+  WidenRow(table->schema(), &row);
   PTLDB_RETURN_IF_ERROR(table->Insert(row));
   UndoRecord undo;
   undo.kind = UndoRecord::Kind::kUndoInsert;
@@ -190,7 +233,7 @@ Result<size_t> Database::Delete(int64_t txn_id, const std::string& table_name,
                                 const ParamMap* params) {
   PTLDB_ASSIGN_OR_RETURN(Transaction * txn, GetTxn(txn_id));
   PTLDB_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(table_name));
-  PTLDB_ASSIGN_OR_RETURN(ExprPtr pred, ParseSqlExpr(where));
+  PTLDB_ASSIGN_OR_RETURN(ExprPtr pred, plans_.Expression(where));
   PTLDB_ASSIGN_OR_RETURN(BoundExpr bound,
                          BoundExpr::Bind(pred, table->schema(), params));
   PTLDB_ASSIGN_OR_RETURN(std::vector<Tuple> deleted, table->DeleteWhere(bound));
@@ -214,13 +257,13 @@ Result<size_t> Database::Update(
     std::string_view where, const ParamMap* params) {
   PTLDB_ASSIGN_OR_RETURN(Transaction * txn, GetTxn(txn_id));
   PTLDB_ASSIGN_OR_RETURN(Table * table, catalog_.GetTable(table_name));
-  PTLDB_ASSIGN_OR_RETURN(ExprPtr pred, ParseSqlExpr(where));
+  PTLDB_ASSIGN_OR_RETURN(ExprPtr pred, plans_.Expression(where));
   PTLDB_ASSIGN_OR_RETURN(BoundExpr bound_pred,
                          BoundExpr::Bind(pred, table->schema(), params));
   std::vector<std::pair<size_t, BoundExpr>> assignments;
   for (const auto& [col, expr_text] : set) {
     PTLDB_ASSIGN_OR_RETURN(size_t idx, table->schema().IndexOf(col));
-    PTLDB_ASSIGN_OR_RETURN(ExprPtr expr, ParseSqlExpr(expr_text));
+    PTLDB_ASSIGN_OR_RETURN(ExprPtr expr, plans_.Expression(expr_text));
     PTLDB_ASSIGN_OR_RETURN(BoundExpr bound,
                            BoundExpr::Bind(expr, table->schema(), params));
     assignments.emplace_back(idx, std::move(bound));
@@ -290,7 +333,7 @@ Result<Relation> Database::Query(const QueryPtr& plan,
 
 Result<Relation> Database::QuerySql(std::string_view sql,
                                     const ParamMap* params) const {
-  PTLDB_ASSIGN_OR_RETURN(QueryPtr plan, ParseSql(sql));
+  PTLDB_ASSIGN_OR_RETURN(QueryPtr plan, plans_.Statement(sql));
   return Query(plan, params);
 }
 
@@ -306,7 +349,7 @@ Result<Relation> Database::QuerySqlAsOf(std::string_view sql, Timestamp t,
     return Status::InvalidArgument(
         "AS OF query requires a version store (none attached)");
   }
-  PTLDB_ASSIGN_OR_RETURN(QueryPtr plan, ParseSql(sql));
+  PTLDB_ASSIGN_OR_RETURN(QueryPtr plan, plans_.Statement(sql));
   QueryExecutor exec(&catalog_, temporal_sink_, t);
   return exec.Execute(plan, params);
 }

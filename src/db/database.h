@@ -17,7 +17,9 @@
 
 #include <cstdint>
 #include <functional>
+#include <list>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -177,6 +179,18 @@ class Database {
   /// keeping history timestamps strictly increasing even if the clock stalls.
   Timestamp NextTimestamp() const;
 
+  // ---- Plan cache ----
+
+  /// Distinct statement and expression texts whose parse trees the database
+  /// keeps: QuerySql, QuerySqlAsOf, Update/Delete and their *Rows wrappers
+  /// parse each distinct text once. A fixed bound, not an option; past it
+  /// the least recently used plan is dropped. Plans are unbound ASTs (names
+  /// resolve at execution), so DDL never invalidates one.
+  static constexpr size_t kPlanCacheCapacity = 256;
+
+  /// Plans currently cached (at most kPlanCacheCapacity).
+  size_t plan_cache_size() const;
+
   // ---- Durability (src/storage) ----
 
   /// WAL replay: applies the logged redo deltas to the tables, then appends
@@ -206,6 +220,43 @@ class Database {
                           const std::vector<RedoDelta>* deltas);
   Status UndoAll(Transaction* txn);
 
+  /// One LRU over statement and expression texts (a text is keyed with its
+  /// kind, so the same string may be cached as both). A text that fails to
+  /// parse is reported, never cached.
+  class PlanCache {
+   public:
+    Result<QueryPtr> Statement(std::string_view sql);
+    Result<ExprPtr> Expression(std::string_view text);
+    size_t size() const;
+
+   private:
+    struct Plan {
+      QueryPtr statement;
+      ExprPtr expression;
+    };
+    struct Key {
+      bool expression;
+      std::string_view text;  // views the owning entry's string
+      bool operator==(const Key& other) const = default;
+    };
+    struct KeyHash {
+      size_t operator()(const Key& k) const {
+        return std::hash<std::string_view>{}(k.text) ^ k.expression;
+      }
+    };
+    struct Entry {
+      bool expression;
+      std::string text;
+      Plan plan;
+    };
+    /// The cached plan of (`expression`, `text`), parsing it on a miss.
+    Result<Plan> Get(bool expression, std::string_view text);
+
+    mutable std::mutex mu_;
+    std::list<Entry> lru_;  // most recently used first
+    std::unordered_map<Key, std::list<Entry>::iterator, KeyHash> index_;
+  };
+
   Clock* clock_;
   Catalog catalog_;
   event::History history_;
@@ -214,6 +265,7 @@ class Database {
   TemporalSink* temporal_sink_ = nullptr;
   std::unordered_map<int64_t, Transaction> open_txns_;
   int64_t next_txn_id_ = 1;
+  mutable PlanCache plans_;
 };
 
 }  // namespace ptldb::db

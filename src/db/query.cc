@@ -1,6 +1,7 @@
 #include "db/query.h"
 
 #include <algorithm>
+#include <cmath>
 #include <unordered_map>
 
 #include "common/logging.h"
@@ -180,14 +181,38 @@ Result<Value> QueryExecutor::ExecuteScalar(const QueryPtr& query,
 
 namespace {
 
-// Renames a relation's columns to "alias.col" (scan output convention).
-Relation AliasRelation(const std::string& alias, Relation rel) {
+// Renames a schema's columns to "alias.col" (scan output convention).
+Schema AliasSchema(const std::string& alias, const Schema& schema) {
   std::vector<Column> cols;
-  cols.reserve(rel.schema().num_columns());
-  for (const Column& c : rel.schema().columns()) {
+  cols.reserve(schema.num_columns());
+  for (const Column& c : schema.columns()) {
     cols.push_back(Column{StrCat(alias, ".", c.name), c.type});
   }
-  return Relation(Schema(std::move(cols)), rel.rows());
+  return Schema(std::move(cols));
+}
+
+Relation AliasRelation(const std::string& alias, const Relation& rel) {
+  return Relation(AliasSchema(alias, rel.schema()), rel.rows());
+}
+
+// The rows of `rel` satisfying `predicate`, in order; `rel` itself when
+// every row does (a point lookup's usual outcome), saving the copy.
+Result<Relation> FilterRows(Relation rel, const ExprPtr& predicate,
+                            const ParamMap* params) {
+  PTLDB_ASSIGN_OR_RETURN(BoundExpr pred,
+                         BoundExpr::Bind(predicate, rel.schema(), params));
+  std::vector<Tuple> kept;
+  bool all = true;
+  for (size_t i = 0; i < rel.size(); ++i) {
+    PTLDB_ASSIGN_OR_RETURN(bool match, pred.EvalPredicate(rel.row(i)));
+    if (match && !all) kept.push_back(rel.row(i));
+    if (!match && all) {
+      all = false;
+      kept.assign(rel.rows().begin(), rel.rows().begin() + i);
+    }
+  }
+  if (all) return rel;
+  return Relation(rel.schema(), std::move(kept));
 }
 
 // Evaluates an `AS OF` expression (no column references; literals, params,
@@ -207,35 +232,39 @@ Result<Timestamp> EvalAsOfExpr(const ExprPtr& expr, const ParamMap* params) {
 
 }  // namespace
 
+Result<std::optional<Timestamp>> QueryExecutor::ScanTime(
+    const Query& scan, const ParamMap* params) const {
+  if (scan.asof == nullptr) return default_asof_;
+  PTLDB_ASSIGN_OR_RETURN(Timestamp t, EvalAsOfExpr(scan.asof, params));
+  return std::optional<Timestamp>(t);
+}
+
+namespace {
+
+Status NoVersionStore(const std::string& table) {
+  return Status::InvalidArgument(StrCat(
+      "AS OF scan of '", table, "' requires a version store (none attached)"));
+}
+
+}  // namespace
+
 Result<Relation> QueryExecutor::ExecScan(const Query& q,
                                          const ParamMap* params) const {
   // `AS OF` reads resolve through the version store instead of the live
   // table: an explicit per-scan expression wins over the executor-wide
   // default (the QUERY_ASOF whole-query mode).
-  std::optional<Timestamp> asof_time = default_asof_;
-  if (q.asof != nullptr) {
-    PTLDB_ASSIGN_OR_RETURN(Timestamp t, EvalAsOfExpr(q.asof, params));
-    asof_time = t;
-  }
+  PTLDB_ASSIGN_OR_RETURN(std::optional<Timestamp> asof_time,
+                         ScanTime(q, params));
   if (asof_time.has_value()) {
-    if (asof_provider_ == nullptr) {
-      return Status::InvalidArgument(
-          StrCat("AS OF scan of '", q.table,
-                 "' requires a version store (none attached)"));
-    }
+    if (asof_provider_ == nullptr) return NoVersionStore(q.table);
     PTLDB_ASSIGN_OR_RETURN(Relation rel,
                            asof_provider_->TableAsOf(q.table, *asof_time));
     if (q.alias.empty()) return rel;
-    return AliasRelation(q.alias, std::move(rel));
+    return AliasRelation(q.alias, rel);
   }
   PTLDB_ASSIGN_OR_RETURN(const Table* table, catalog_->GetTable(q.table));
   if (q.alias.empty()) return table->Snapshot();
-  std::vector<Column> cols;
-  cols.reserve(table->schema().num_columns());
-  for (const Column& c : table->schema().columns()) {
-    cols.push_back(Column{StrCat(q.alias, ".", c.name), c.type});
-  }
-  return Relation(Schema(std::move(cols)), table->rows());
+  return Relation(AliasSchema(q.alias, table->schema()), table->rows());
 }
 
 namespace {
@@ -278,66 +307,71 @@ bool FindPkEquality(const ExprPtr& pred, const std::string& pk_name,
 
 }  // namespace
 
-Result<Relation> QueryExecutor::ExecFilter(const Query& q,
-                                           const ParamMap* params) const {
-  // Point-lookup fast path: Filter(pk = const)(Scan(t)) on a single-column
-  // primary key uses the hash index instead of scanning. Time-traveling
-  // scans (explicit AS OF or an executor-wide default) must reconstruct the
-  // past state instead, so they take the general path.
-  if (q.input->kind == Query::Kind::kScan && q.input->asof == nullptr &&
-      !default_asof_.has_value()) {
-    auto table_or = catalog_->GetTable(q.input->table);
-    if (table_or.ok()) {
-      const Table* table = *table_or;
-      if (table->primary_key().size() == 1) {
-        std::string pk_name = table->primary_key()[0];
-        if (!q.input->alias.empty()) {
-          pk_name = StrCat(q.input->alias, ".", pk_name);
-        }
-        Value key;
-        if (FindPkEquality(q.predicate, pk_name, params, &key)) {
-          // The index stores widened values; widen the probe to match.
-          if (key.is_int() &&
-              table->schema()
-                      .column(*table->schema().IndexOf(
-                          table->primary_key()[0]))
-                      .type == ValueType::kDouble) {
-            key = Value::Real(static_cast<double>(key.AsInt()));
-          }
-          // Build the scan's output schema without copying its rows.
-          Schema scan_schema = table->schema();
-          if (!q.input->alias.empty()) {
-            std::vector<Column> cols;
-            cols.reserve(scan_schema.num_columns());
-            for (const Column& c : scan_schema.columns()) {
-              cols.push_back(
-                  Column{StrCat(q.input->alias, ".", c.name), c.type});
-            }
-            scan_schema = Schema(std::move(cols));
-          }
-          PTLDB_ASSIGN_OR_RETURN(
-              BoundExpr pred,
-              BoundExpr::Bind(q.predicate, scan_schema, params));
-          Relation out(scan_schema);
-          const Tuple* row = table->FindByKey({key});
-          if (row != nullptr) {
-            PTLDB_ASSIGN_OR_RETURN(bool match, pred.EvalPredicate(*row));
-            if (match) out.AppendUnchecked(*row);
-          }
-          return out;
-        }
-      }
+Result<std::optional<Relation>> QueryExecutor::PointLookup(
+    const Query& q, const ParamMap* params) const {
+  const Query& scan = *q.input;
+  auto table_or = catalog_->GetTable(scan.table);
+  if (!table_or.ok() || (*table_or)->primary_key().size() != 1) {
+    return std::optional<Relation>();
+  }
+  const Table* table = *table_or;
+  const std::string& pk = table->primary_key()[0];
+  Value key;
+  if (!FindPkEquality(q.predicate,
+                      scan.alias.empty() ? pk : StrCat(scan.alias, ".", pk),
+                      params, &key)) {
+    return std::optional<Relation>();
+  }
+  if (key.is_numeric()) {
+    const Schema& schema = table->schema();
+    const ValueType pk_type = schema.column(*schema.IndexOf(pk)).type;
+    // Tables store widened values; widen the probe to match.
+    if (key.is_int() && pk_type == ValueType::kDouble) {
+      key = Value::Real(static_cast<double>(key.AsInt()));
+    }
+    // Both indexes match by value identity, while SQL equality coerces
+    // numerics (1 = 1.0) and a NaN compares equal to anything: such probes
+    // scan. Other types compare equal only to their own type, as in the
+    // indexes.
+    if (key.type() != pk_type ||
+        (key.is_double() && std::isnan(key.AsDouble()))) {
+      return std::optional<Relation>();
     }
   }
-  PTLDB_ASSIGN_OR_RETURN(Relation in, Execute(q.input, params));
-  PTLDB_ASSIGN_OR_RETURN(BoundExpr pred,
-                         BoundExpr::Bind(q.predicate, in.schema(), params));
-  Relation out(in.schema());
-  for (const Tuple& row : in.rows()) {
-    PTLDB_ASSIGN_OR_RETURN(bool match, pred.EvalPredicate(row));
-    if (match) out.AppendUnchecked(row);
+  PTLDB_ASSIGN_OR_RETURN(std::optional<Timestamp> asof_time,
+                         ScanTime(scan, params));
+  Relation candidates;
+  if (asof_time.has_value()) {
+    if (asof_provider_ == nullptr) return NoVersionStore(scan.table);
+    PTLDB_ASSIGN_OR_RETURN(
+        candidates,
+        asof_provider_->TableAsOfKey(scan.table, *asof_time, pk, key));
+    if (!scan.alias.empty()) {
+      candidates = AliasRelation(scan.alias, candidates);
+    }
+  } else {
+    candidates = Relation(scan.alias.empty()
+                              ? table->schema()
+                              : AliasSchema(scan.alias, table->schema()));
+    const Tuple* row = table->FindByKey({key});
+    if (row != nullptr) candidates.AppendUnchecked(*row);
   }
-  return out;
+  PTLDB_ASSIGN_OR_RETURN(
+      Relation out, FilterRows(std::move(candidates), q.predicate, params));
+  return std::optional<Relation>(std::move(out));
+}
+
+Result<Relation> QueryExecutor::ExecFilter(const Query& q,
+                                           const ParamMap* params) const {
+  // Point-lookup fast path: the live table's hash index, or the version
+  // store's per-key archive index for time-traveling scans (explicit AS OF
+  // or the executor-wide default).
+  if (q.input->kind == Query::Kind::kScan) {
+    PTLDB_ASSIGN_OR_RETURN(std::optional<Relation> hit, PointLookup(q, params));
+    if (hit.has_value()) return std::move(*hit);
+  }
+  PTLDB_ASSIGN_OR_RETURN(Relation in, Execute(q.input, params));
+  return FilterRows(std::move(in), q.predicate, params);
 }
 
 Result<Relation> QueryExecutor::ExecProject(const Query& q,

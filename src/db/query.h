@@ -36,6 +36,19 @@ class AsOfProvider {
   /// is not versioned or `t` falls behind the retention horizon.
   virtual Result<Relation> TableAsOf(const std::string& table,
                                      Timestamp t) const = 0;
+
+  /// Point read behind the executor's keyed AS OF path: rows of
+  /// TableAsOf(table, t), in its order, holding at least every row whose
+  /// `column` cell equals `key` (Value ==). The caller re-applies its full
+  /// predicate, so a provider without an index on `column` may return the
+  /// whole table (the default). Errors as TableAsOf.
+  virtual Result<Relation> TableAsOfKey(const std::string& table, Timestamp t,
+                                        const std::string& column,
+                                        const Value& key) const {
+    (void)column;
+    (void)key;
+    return TableAsOf(table, t);
+  }
 };
 
 /// Aggregate function selector for Aggregate nodes.
@@ -144,6 +157,15 @@ class QueryExecutor {
                               const ParamMap* params = nullptr) const;
 
  private:
+  /// The instant a scan reads: its own `AS OF` wins over the executor-wide
+  /// default; nullopt reads the live table.
+  Result<std::optional<Timestamp>> ScanTime(const Query& scan,
+                                            const ParamMap* params) const;
+  /// Filter(pk = const)(Scan) on a single-column primary key, answered from
+  /// the table's hash index or, for AS OF scans, the archive's per-key
+  /// index. nullopt when the plan does not qualify.
+  Result<std::optional<Relation>> PointLookup(const Query& q,
+                                              const ParamMap* params) const;
   Result<Relation> ExecScan(const Query& q, const ParamMap* params) const;
   Result<Relation> ExecFilter(const Query& q, const ParamMap* params) const;
   Result<Relation> ExecProject(const Query& q, const ParamMap* params) const;

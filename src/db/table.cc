@@ -43,19 +43,13 @@ Status Table::CheckRowShape(const Tuple& row) const {
   return Status::OK();
 }
 
-namespace {
-
-// Applies the int64 -> double widening promised by CheckRowShape so stored
-// values always match the declared column type.
 void WidenRow(const Schema& schema, Tuple* row) {
-  for (size_t i = 0; i < row->size(); ++i) {
+  for (size_t i = 0; i < row->size() && i < schema.num_columns(); ++i) {
     if ((*row)[i].is_int() && schema.column(i).type == ValueType::kDouble) {
       (*row)[i] = Value::Real(static_cast<double>((*row)[i].AsInt()));
     }
   }
 }
-
-}  // namespace
 
 Status Table::Insert(Tuple row) {
   PTLDB_RETURN_IF_ERROR(CheckRowShape(row));

@@ -26,6 +26,10 @@ struct RowUpdate {
   Tuple new_row;
 };
 
+/// Applies the int64 -> double widening a table promises for DOUBLE columns,
+/// so a row matches what the table stores. Other cells are left as they are.
+void WidenRow(const Schema& schema, Tuple* row);
+
 class Table {
  public:
   /// `primary_key` lists the key columns (may be empty for an unkeyed bag).

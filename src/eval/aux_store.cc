@@ -312,6 +312,7 @@ Status RelationHistory::Record(Timestamp t, const db::Relation& rel) {
   // Open intervals for genuinely new rows, preserving the relation's row
   // order (deterministic, unlike iterating the count map). Appends keep
   // open_rows_ sorted: new indices are the largest so far.
+  const size_t first_new = starts_.size();
   for (uint32_t tid : new_tids) {
     auto it = want.find(tid);
     if (it->second <= 0) continue;
@@ -320,6 +321,11 @@ Status RelationHistory::Record(Timestamp t, const db::Relation& rel) {
     starts_.push_back(t);
     ends_.push_back(kTimeMax);
     tids_.push_back(tid);
+  }
+  if (any_phantom) {
+    RebuildKeyIndex();  // row positions shifted
+  } else {
+    for (size_t i = first_new; i < starts_.size(); ++i) IndexKey(i);
   }
   last_time_ = t;
   has_record_ = true;
@@ -400,9 +406,12 @@ Status RelationHistory::ApplyDelta(Timestamp t,
   }
   bool any_phantom = false;
   for (uint32_t tid : rm_tids) {
-    std::vector<size_t>& bucket = open_by_tid_[tid];
-    const size_t i = bucket.back();
-    bucket.pop_back();
+    auto bucket = open_by_tid_.find(tid);
+    const size_t i = bucket->second.back();
+    bucket->second.pop_back();
+    // Drop emptied buckets: a tuple that closes for good (an old price)
+    // must not keep an index entry for the rest of the history's life.
+    if (bucket->second.empty()) open_by_tid_.erase(bucket);
     ends_[i] = t;
     if (starts_[i] == t) {
       any_phantom = true;
@@ -442,19 +451,79 @@ Status RelationHistory::ApplyDelta(Timestamp t,
     starts_.push_back(t);
     ends_.push_back(kTimeMax);
     tids_.push_back(tid);
+    if (!any_phantom) IndexKey(i);
   }
+  if (any_phantom) RebuildKeyIndex();  // row positions shifted
   last_time_ = t;
   has_record_ = true;
   return Status::OK();
 }
 
-Result<db::Relation> RelationHistory::AsOf(Timestamp t) const {
+void RelationHistory::IndexKey(size_t i) {
+  if (!key_column_.has_value()) return;
+  const uint32_t vid = tuples_.Cells(tids_[i])[*key_column_];
+  std::vector<uint32_t>& positions = rows_by_key_[vid];
+  // Rows of one key that never overlap end in start order, so the newest
+  // earlier row is the only one that can still cover this row's start.
+  if (!positions.empty() && ends_[positions.back()] > starts_[i]) {
+    key_overlap_ = true;
+  }
+  positions.push_back(static_cast<uint32_t>(i));
+}
+
+void RelationHistory::RebuildKeyIndex() {
+  rows_by_key_.clear();
+  key_overlap_ = false;
+  for (size_t i = 0; i < starts_.size(); ++i) IndexKey(i);
+}
+
+Status RelationHistory::CheckReadable(Timestamp t) const {
   if (!has_record_) return Status::NotFound("empty relation history");
   if (trimmed_ && t < trim_horizon_) {
     return Status::OutOfRange(
         StrCat("relation history trimmed before time ", trim_horizon_,
                "; reconstruction at ", t, " would be incomplete"));
   }
+  return Status::OK();
+}
+
+Result<db::Relation> RelationHistory::AsOf(Timestamp t, const Value& key) const {
+  if (!key_column_.has_value()) {
+    return Status::InvalidArgument("relation history has no key column");
+  }
+  PTLDB_RETURN_IF_ERROR(CheckReadable(t));
+  db::Relation out(schema_);
+  const std::optional<uint32_t> vid = values_.Find(key);
+  if (!vid.has_value()) return out;
+  auto it = rows_by_key_.find(*vid);
+  if (it == rows_by_key_.end()) return out;
+  const std::vector<uint32_t>& positions = it->second;
+  // Binary search the key's rows (start order) for those started by `t`.
+  size_t lo = 0, hi = positions.size();
+  while (lo < hi) {
+    size_t mid = lo + (hi - lo) / 2;
+    ++asof_probes_;
+    if (starts_[positions[mid]] <= t) {
+      lo = mid + 1;
+    } else {
+      hi = mid;
+    }
+  }
+  // Without overlap every earlier row ended by the next one's start <= t.
+  // An open row covers every later instant, kTimeMax included, as on the
+  // current-time path of AsOf(t).
+  for (size_t k = key_overlap_ ? 0 : (lo > 0 ? lo - 1 : 0); k < lo; ++k) {
+    ++asof_probes_;
+    const uint32_t i = positions[k];
+    if (t < ends_[i] || ends_[i] == kTimeMax) {
+      out.AppendUnchecked(DecodeTuple(tids_[i]));
+    }
+  }
+  return out;
+}
+
+Result<db::Relation> RelationHistory::AsOf(Timestamp t) const {
+  PTLDB_RETURN_IF_ERROR(CheckReadable(t));
   db::Relation out(schema_);
   if (t >= last_time_ && t >= max_closed_end_) {
     // Current-time fast path: no closed interval can cover `t`, so only open
@@ -538,6 +607,7 @@ void RelationHistory::TrimBefore(Timestamp horizon) {
     if (max_dropped_end > trim_horizon_) trim_horizon_ = max_dropped_end;
     CompactDictionaries();
     open_index_dirty_ = true;  // tuple ids remapped, row indices shifted
+    RebuildKeyIndex();
   }
 }
 
@@ -584,18 +654,17 @@ void RelationHistory::Serialize(codec::Writer* w) const {
 }
 
 Status RelationHistory::Deserialize(codec::Reader* r) {
-  starts_.clear();
-  ends_.clear();
-  tids_.clear();
-  open_rows_.clear();
-  open_by_tid_.clear();
-  open_index_dirty_ = true;
-  max_closed_end_ = std::numeric_limits<Timestamp>::min();
-  {
-    std::vector<uint32_t> value_remap, tuple_remap;
-    tuples_.Rebuild(std::vector<bool>(tuples_.size(), false), {}, &tuple_remap);
-    values_.Rebuild(std::vector<bool>(values_.size(), false), &value_remap);
-  }
+  // Decode into a fresh history: a rejected dump leaves this one empty,
+  // never half-loaded, so reads after a failed restore stay in bounds.
+  RelationHistory fresh(schema_, key_column_);
+  Status s = fresh.DeserializeColumns(r);
+  if (!s.ok()) fresh = RelationHistory(schema_, key_column_);
+  fresh.RebuildKeyIndex();
+  *this = std::move(fresh);
+  return s;
+}
+
+Status RelationHistory::DeserializeColumns(codec::Reader* r) {
   PTLDB_ASSIGN_OR_RETURN(uint8_t first, r->PeekU8());
   // v1 dumps start with the u32 schema arity; its low byte equals the
   // columnar tag only for a 194-column schema, which the guard excludes.
@@ -629,25 +698,47 @@ Status RelationHistory::Deserialize(codec::Reader* r) {
   PTLDB_ASSIGN_OR_RETURN(trim_horizon_, r->I64());
   PTLDB_ASSIGN_OR_RETURN(rows_trimmed_, r->U64());
   PTLDB_ASSIGN_OR_RETURN(phantom_rows_dropped_, r->U64());
+  // Every row starts in start order at or before the last record time, and
+  // a closed row ended there too: what Record/ApplyDelta can produce, and
+  // what AsOf's current-time fast path relies on.
+  Timestamp prev_start = std::numeric_limits<Timestamp>::min();
+  auto append_row = [&](uint32_t tid, Timestamp s, Timestamp e) -> Status {
+    if (!has_record_ || s < prev_start || s > last_time_ ||
+        (e != kTimeMax && (e < s || e > last_time_))) {
+      return Status::InvalidArgument("relation-history dump is corrupt");
+    }
+    prev_start = s;
+    if (e == kTimeMax) open_rows_.push_back(starts_.size());
+    tids_.push_back(tid);
+    starts_.push_back(s);
+    ends_.push_back(e);
+    if (e != kTimeMax && e > max_closed_end_) max_closed_end_ = e;
+    return Status::OK();
+  };
   if (columnar) {
     PTLDB_RETURN_IF_ERROR(values_.Deserialize(r));
     PTLDB_RETURN_IF_ERROR(tuples_.Deserialize(r));
+    for (uint32_t tid = 0; tid < tuples_.size(); ++tid) {
+      const uint32_t arity = tuples_.Arity(tid);
+      bool ok = arity == schema_.num_columns();
+      for (uint32_t c = 0; ok && c < arity; ++c) {
+        ok = tuples_.Cells(tid)[c] < values_.size();
+      }
+      if (!ok) {
+        return Status::InvalidArgument(
+            "relation-history dump has a malformed tuple dictionary");
+      }
+    }
     PTLDB_ASSIGN_OR_RETURN(uint32_t n, r->U32());
     starts_.reserve(n <= r->remaining() ? n : 0);
-    Timestamp prev_start = std::numeric_limits<Timestamp>::min();
     for (uint32_t i = 0; i < n; ++i) {
       PTLDB_ASSIGN_OR_RETURN(uint32_t tid, r->U32());
       PTLDB_ASSIGN_OR_RETURN(Timestamp s, r->I64());
       PTLDB_ASSIGN_OR_RETURN(Timestamp e, r->I64());
-      if (tid >= tuples_.size() || s < prev_start) {
+      if (tid >= tuples_.size()) {
         return Status::InvalidArgument("relation-history dump is corrupt");
       }
-      prev_start = s;
-      if (e == kTimeMax) open_rows_.push_back(starts_.size());
-      tids_.push_back(tid);
-      starts_.push_back(s);
-      ends_.push_back(e);
-      if (e != kTimeMax && e > max_closed_end_) max_closed_end_ = e;
+      PTLDB_RETURN_IF_ERROR(append_row(tid, s, e));
     }
     return Status::OK();
   }
@@ -657,13 +748,39 @@ Status RelationHistory::Deserialize(codec::Reader* r) {
     PTLDB_ASSIGN_OR_RETURN(db::Tuple row, r->ValVec());
     PTLDB_ASSIGN_OR_RETURN(Timestamp s, r->I64());
     PTLDB_ASSIGN_OR_RETURN(Timestamp e, r->I64());
-    if (e == kTimeMax) open_rows_.push_back(starts_.size());
-    tids_.push_back(EncodeTuple(row));
-    starts_.push_back(s);
-    ends_.push_back(e);
-    if (e != kTimeMax && e > max_closed_end_) max_closed_end_ = e;
+    if (row.size() != schema_.num_columns()) {
+      return Status::InvalidArgument("relation-history dump is corrupt");
+    }
+    PTLDB_RETURN_IF_ERROR(append_row(EncodeTuple(row), s, e));
   }
   return Status::OK();
+}
+
+namespace {
+
+// Structural estimate of a hash index of position lists: a pointer per
+// bucket, a node (key, list header, next pointer) per entry, and the lists'
+// capacity. Deterministic across runs, like the dictionaries' estimates.
+template <typename Pos>
+size_t PositionIndexBytes(
+    const std::unordered_map<uint32_t, std::vector<Pos>>& index) {
+  size_t bytes = index.bucket_count() * sizeof(void*);
+  for (const auto& [key, positions] : index) {
+    (void)key;
+    bytes += sizeof(void*) + sizeof(uint32_t) + sizeof(std::vector<Pos>) +
+             positions.capacity() * sizeof(Pos);
+  }
+  return bytes;
+}
+
+}  // namespace
+
+size_t RelationHistory::EstimateBytes() const {
+  return sizeof(*this) + starts_.capacity() * 2 * sizeof(Timestamp) +
+         tids_.capacity() * sizeof(uint32_t) +
+         open_rows_.capacity() * sizeof(size_t) +
+         PositionIndexBytes(open_by_tid_) + PositionIndexBytes(rows_by_key_) +
+         values_.EstimateBytes() + tuples_.EstimateBytes();
 }
 
 void RelationHistory::ExportTo(Metrics& m, const std::string& prefix) const {

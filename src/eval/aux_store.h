@@ -28,6 +28,7 @@
 #define PTLDB_EVAL_AUX_STORE_H_
 
 #include <limits>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -137,10 +138,15 @@ class ScalarSeries {
 /// k data attributes plus T_start / T_end.
 class RelationHistory {
  public:
-  /// `schema` is the schema of the tracked query's result.
-  explicit RelationHistory(db::Schema schema) : schema_(std::move(schema)) {}
+  /// `schema` is the schema of the tracked query's result. `key_column`,
+  /// when set, is the column whose values key the per-key archive index
+  /// behind the keyed AsOf (a versioned table's single-column primary key).
+  explicit RelationHistory(db::Schema schema,
+                           std::optional<size_t> key_column = std::nullopt)
+      : schema_(std::move(schema)), key_column_(key_column) {}
 
   const db::Schema& schema() const { return schema_; }
+  std::optional<size_t> key_column() const { return key_column_; }
 
   /// Records the full relation value at time `t` (closing the validity of
   /// rows that disappeared, opening intervals for new rows). `t` must be
@@ -172,6 +178,14 @@ class RelationHistory {
   /// be incomplete).
   Result<db::Relation> AsOf(Timestamp t) const;
 
+  /// Keyed point read: the rows of AsOf(t) whose key column equals `key`
+  /// (Value ==), in the same order. A binary search over that key's rows in
+  /// the per-key index decodes only the match — O(log versions of the key)
+  /// while no two rows of one key were ever live together (always so for a
+  /// primary key), O(versions of the key) otherwise. Errors as AsOf(t);
+  /// InvalidArgument when the history has no key column.
+  Result<db::Relation> AsOf(Timestamp t, const Value& key) const;
+
   /// The backing store as a relation with T_start / T_end columns appended —
   /// i.e. R_x itself, inspectable and queryable.
   db::Relation Store() const;
@@ -195,14 +209,9 @@ class RelationHistory {
   /// Row-column probes made by AsOf over this history's lifetime.
   uint64_t asof_probes() const { return asof_probes_; }
 
-  /// Deep retained-memory estimate: columns plus both dictionaries,
-  /// including string payload bytes.
-  size_t EstimateBytes() const {
-    return sizeof(*this) + starts_.capacity() * 2 * sizeof(Timestamp) +
-           tids_.capacity() * sizeof(uint32_t) +
-           open_rows_.capacity() * sizeof(size_t) + values_.EstimateBytes() +
-           tuples_.EstimateBytes();
-  }
+  /// Deep retained-memory estimate: columns, both dictionaries (including
+  /// string payload bytes) and the derived indexes.
+  size_t EstimateBytes() const;
 
   /// Publishes interval/trim/bytes accounting into `m` under
   /// `aux.<prefix>.{rows,rows_trimmed,phantom_rows_dropped,bytes,dict,
@@ -222,8 +231,16 @@ class RelationHistory {
   uint32_t EncodeTuple(const db::Tuple& row);
   void CompactDictionaries();
   void RebuildOpenIndex();
+  /// NotFound / OutOfRange exactly as AsOf reports them; OK when `t` can be
+  /// reconstructed.
+  Status CheckReadable(Timestamp t) const;
+  /// Appends row `i` (the newest) to its key's positions.
+  void IndexKey(size_t i);
+  void RebuildKeyIndex();
+  Status DeserializeColumns(codec::Reader* r);
 
   db::Schema schema_;
+  std::optional<size_t> key_column_;
   // Parallel stamped-row columns, ascending by start.
   std::vector<Timestamp> starts_;
   std::vector<Timestamp> ends_;  // exclusive; kTimeMax while current
@@ -239,6 +256,15 @@ class RelationHistory {
   // dirty instead of maintaining it, and ApplyDelta rebuilds on first use.
   std::unordered_map<uint32_t, std::vector<size_t>> open_by_tid_;
   bool open_index_dirty_ = true;
+  // Per-key archive index (only with a key column): key-column value id ->
+  // positions of that key's rows, ascending, i.e. in start order. Derived
+  // state kept up to date by Record/ApplyDelta and rebuilt after trimming,
+  // phantom compaction and Deserialize; never serialized.
+  std::unordered_map<uint32_t, std::vector<uint32_t>> rows_by_key_;
+  // Set once two rows of one key may have been live at the same instant (a
+  // bag keyed on a non-unique column). Keyed reads then filter all of the
+  // key's earlier rows instead of taking the last one that started.
+  bool key_overlap_ = false;
   ValueDict values_;
   TupleDict tuples_;
   // Largest closed end among retained rows: reads at or past both this and

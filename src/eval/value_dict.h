@@ -16,6 +16,7 @@
 #define PTLDB_EVAL_VALUE_DICT_H_
 
 #include <cstdint>
+#include <optional>
 #include <unordered_map>
 #include <vector>
 
@@ -30,6 +31,13 @@ class ValueDict {
  public:
   /// Id of `v`, interning it on first sight.
   uint32_t Intern(const Value& v);
+
+  /// Id of `v` when it is interned; nullopt otherwise. Never interns.
+  std::optional<uint32_t> Find(const Value& v) const {
+    auto it = index_.find(v);
+    if (it == index_.end()) return std::nullopt;
+    return it->second;
+  }
 
   /// The value for an id previously returned by Intern. Unchecked.
   const Value& At(uint32_t id) const { return values_[id]; }

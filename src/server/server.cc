@@ -42,7 +42,6 @@ Server::Server(ServerOptions options, db::Database* db,
     g_sessions_ = &m.gauge("server.sessions_active");
     c_requests_ = &m.counter("server.requests");
     c_batches_ = &m.counter("server.batches");
-    c_rejections_ = &m.counter("server.busy_rejections");
     c_acked_ = &m.counter("server.acked");
     c_slow_ = &m.counter("server.slow_events");
     h_batch_size_ = &m.histogram("server.batch_size");
@@ -58,6 +57,11 @@ Server::Server(ServerOptions options, db::Database* db,
 }
 
 Server::~Server() { Stop(); }
+
+void Server::PublishMetrics(Metrics& m) const {
+  m.counter("server.busy_rejections").Set(busy_rejections());
+  if (mgr_ != nullptr) mgr_->PublishMetrics(m);
+}
 
 Status Server::Start() {
   if (running_.exchange(true)) {
@@ -103,10 +107,10 @@ Status Server::Start() {
   port_ = ntohs(addr.sin_port);
   listen_fd_.store(lfd);
   if (options_.max_batch > 1) engine_->SetBatching(options_.max_batch);
-  if (options_.metrics != nullptr && mgr_ != nullptr) {
+  if (options_.metrics != nullptr) {
     // Snapshots run on the engine thread (STATS), which also drives the WAL.
-    storage_provider_id_ = options_.metrics->AddProvider(
-        [mgr = mgr_](Metrics& m) { mgr->PublishMetrics(m); });
+    provider_id_ = options_.metrics->AddProvider(
+        [this](Metrics& m) { PublishMetrics(m); });
   }
   accept_thread_ = std::thread([this] { AcceptLoop(); });
   engine_thread_ = std::thread([this] { EngineLoop(); });
@@ -139,10 +143,10 @@ void Server::Stop() {
   // The engine thread drains whatever the readers admitted, then exits.
   queue_nonempty_.notify_all();
   if (engine_thread_.joinable()) engine_thread_.join();
-  if (storage_provider_id_ != 0) {
-    mgr_->PublishMetrics(*options_.metrics);  // final totals outlive the stop
-    options_.metrics->RemoveProvider(storage_provider_id_);
-    storage_provider_id_ = 0;
+  if (provider_id_ != 0) {
+    PublishMetrics(*options_.metrics);  // final totals outlive the stop
+    options_.metrics->RemoveProvider(provider_id_);
+    provider_id_ = 0;
   }
   {
     std::lock_guard<std::mutex> lock(sessions_mu_);
@@ -226,7 +230,6 @@ void Server::ReaderLoop(std::shared_ptr<Session> session) {
         req.value().type != MsgType::kHello && !stopping_.load()) {
       lock.unlock();
       rejections_total_.fetch_add(1, std::memory_order_relaxed);
-      MetricAdd(c_rejections_);
       Response busy;
       busy.tag = req.value().tag;
       busy.code = StatusCode::kUnavailable;

@@ -123,6 +123,12 @@ class Server {
     return requests_admitted_.load(std::memory_order_relaxed);
   }
 
+  /// Requests shed by admission control (reject_when_full), with or without
+  /// a metrics registry.
+  uint64_t busy_rejections() const {
+    return rejections_total_.load(std::memory_order_relaxed);
+  }
+
  private:
   /// One connected client. Reader-owned except `write_mu` (the engine
   /// thread writes responses) and `closed`. `last_stats*` is the session's
@@ -185,6 +191,9 @@ class Server {
                       size_t batch_size);
 
   void SendResponse(Session* session, const Response& resp);
+  /// Snapshot-time publication of the counts the server keeps itself
+  /// (server.busy_rejections) and of the durability manager's stats.
+  void PublishMetrics(Metrics& m) const;
   void CloseSession(Session* session);
 
   ServerOptions options_;
@@ -214,19 +223,18 @@ class Server {
 
   std::atomic<uint64_t> requests_admitted_{0};
 
-  /// Admission-control rejections, tracked unconditionally (cheap, cold
-  /// path) so trace spans can report shed counts without a metrics registry.
+  /// Admission-control rejections: the one count, kept without a registry
+  /// (cold path) for trace spans and published as server.busy_rejections.
   std::atomic<uint64_t> rejections_total_{0};
   uint64_t last_rejections_seen_ = 0;  // engine-thread only
 
-  uint64_t storage_provider_id_ = 0;  // publishes mgr_'s stats; 0 = none
+  uint64_t provider_id_ = 0;  // runs PublishMetrics; 0 = none
 
   // Cached instruments (null when options_.metrics is null).
   Metrics::Gauge* g_queue_depth_ = nullptr;
   Metrics::Gauge* g_sessions_ = nullptr;
   Metrics::Counter* c_requests_ = nullptr;
   Metrics::Counter* c_batches_ = nullptr;
-  Metrics::Counter* c_rejections_ = nullptr;
   Metrics::Counter* c_acked_ = nullptr;
   Metrics::Counter* c_slow_ = nullptr;
   Metrics::Histogram* h_batch_size_ = nullptr;

@@ -19,11 +19,26 @@ Result<uint64_t> GroupCommitter::Append(
   return ++appended_lsn_;
 }
 
-void GroupCommitter::RecordAck(bool led_sync) {
-  ++stats_.commits_acked;
-  if (!led_sync) ++stats_.commits_coalesced;
-  ++batch_acks_;
+void GroupCommitter::RecordAcks(uint64_t acks, uint64_t coalesced) {
+  stats_.commits_acked += acks;
+  stats_.commits_coalesced += coalesced;
+  batch_acks_ += acks;
   stats_.max_batch = std::max(stats_.max_batch, batch_acks_);
+}
+
+Status GroupCommitter::LeadSync() {
+  const uint64_t target = appended_lsn_;
+  Status s = wal_->Sync();
+  if (!s.ok()) {
+    // Sticky: the tail's coverage is unknown, nothing may be acked anymore.
+    // Every queued and future waiter gets this same status.
+    status_ = s;
+    return status_;
+  }
+  durable_lsn_ = target;
+  ++stats_.sync_batches;
+  batch_acks_ = 0;
+  return Status::OK();
 }
 
 Status GroupCommitter::WaitDurable(uint64_t lsn) {
@@ -37,37 +52,27 @@ Status GroupCommitter::WaitDurable(uint64_t lsn) {
   if (durable_lsn_ >= lsn) {
     // Covered by a sync some earlier leader issued while we queued on the
     // latch (or long before) — the amortized fast path.
-    RecordAck(/*led_sync=*/false);
+    RecordAcks(1, 1);
     return Status::OK();
   }
   // Lead: one fsync covers everything appended so far, not just our record.
   // The latch is held across the fsync; committers piling up behind it form
   // the next group.
-  const uint64_t target = appended_lsn_;
-  Status s = wal_->Sync();
-  if (!s.ok()) {
-    // Sticky: the tail's coverage is unknown, nothing may be acked anymore.
-    // Every queued and future waiter gets this same status.
-    status_ = s;
-    return status_;
-  }
-  durable_lsn_ = target;
-  ++stats_.sync_batches;
-  batch_acks_ = 0;
-  RecordAck(/*led_sync=*/true);
+  PTLDB_RETURN_IF_ERROR(LeadSync());
+  RecordAcks(1, 0);
   return Status::OK();
 }
 
 Status GroupCommitter::SyncAll() {
-  uint64_t end;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    if (!status_.ok()) return status_;
-    end = appended_lsn_;
-    if (end == durable_lsn_ && end == 0) return Status::OK();
-    if (durable_lsn_ >= end) return Status::OK();
-  }
-  return WaitDurable(end);
+  std::lock_guard<std::mutex> lock(mu_);
+  if (!status_.ok()) return status_;
+  if (durable_lsn_ >= appended_lsn_) return Status::OK();
+  // The barrier acks every record its fsync makes durable (the server acks
+  // a whole batch this way): one led the sync, the rest rode along.
+  const uint64_t covered = appended_lsn_ - durable_lsn_;
+  PTLDB_RETURN_IF_ERROR(LeadSync());
+  RecordAcks(covered, covered - 1);
+  return Status::OK();
 }
 
 void GroupCommitter::Rebind(WalWriter* wal) {

@@ -45,7 +45,8 @@ struct GroupCommitStats {
   uint64_t appends = 0;
   /// Fsyncs issued on behalf of waiters (= number of commit groups).
   uint64_t sync_batches = 0;
-  /// WaitDurable calls that returned OK.
+  /// WaitDurable calls that returned OK, plus the records each leading
+  /// SyncAll made durable.
   uint64_t commits_acked = 0;
   /// Acked commits that did not lead a sync themselves: either already
   /// durable on entry or covered by another leader's fsync.
@@ -83,6 +84,8 @@ class GroupCommitter {
   Status WaitDurable(uint64_t lsn);
 
   /// Durability barrier: everything appended so far is synced on return.
+  /// A barrier that syncs acks every record it makes durable (N records:
+  /// N acked, N-1 coalesced); one finding the tail durable acks nothing.
   Status SyncAll();
 
   /// Checkpoint rebind: the manager reset the WAL to a fresh file whose
@@ -99,8 +102,12 @@ class GroupCommitter {
   Status status() const;
 
  private:
-  /// Called with mu_ held. `led_sync` says whether this ack issued the fsync.
-  void RecordAck(bool led_sync);
+  /// Called with mu_ held: credits `acks` acknowledged commits, `coalesced`
+  /// of which did not lead the fsync that covered them.
+  void RecordAcks(uint64_t acks, uint64_t coalesced);
+  /// Called with mu_ held: one fsync covering everything appended so far.
+  /// Starts a new commit group; a failure turns sticky.
+  Status LeadSync();
 
   mutable std::mutex mu_;
   WalWriter* wal_;                 // guarded by mu_

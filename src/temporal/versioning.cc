@@ -53,7 +53,7 @@ Status VersionStore::DoSetVersioned(const std::string& table, bool strict) {
   }
   PTLDB_ASSIGN_OR_RETURN(const db::Table* t,
                          std::as_const(*db_).catalog().GetTable(table));
-  eval::RelationHistory history(t->schema());
+  eval::RelationHistory history(t->schema(), KeyColumn(table, t->schema()));
   // Seed with the current contents at the current history time, so the
   // declaration instant itself is queryable; commits that follow carry
   // timestamps >= this (NextTimestamp keeps history time monotone).
@@ -125,15 +125,45 @@ bool VersionStore::IsVersioned(const std::string& table) const {
   return tables_.count(table) != 0;
 }
 
-Result<db::Relation> VersionStore::TableAsOf(const std::string& table,
-                                             Timestamp t) const {
+std::optional<size_t> VersionStore::KeyColumn(const std::string& table,
+                                              const db::Schema& schema) const {
+  auto t = std::as_const(*db_).catalog().GetTable(table);
+  if (!t.ok() || (*t)->primary_key().size() != 1) return std::nullopt;
+  auto index = schema.IndexOf((*t)->primary_key()[0]);
+  if (!index.ok()) return std::nullopt;
+  return *index;
+}
+
+Result<const eval::RelationHistory*> VersionStore::Versioned(
+    const std::string& table) const {
   auto it = tables_.find(table);
   if (it == tables_.end()) {
     return Status::InvalidArgument(
         StrCat("table '", table, "' is not versioned; AS OF needs a ",
                "versioned table"));
   }
-  return it->second.AsOf(t);
+  return &it->second;
+}
+
+Result<db::Relation> VersionStore::TableAsOf(const std::string& table,
+                                             Timestamp t) const {
+  PTLDB_ASSIGN_OR_RETURN(const eval::RelationHistory* history,
+                         Versioned(table));
+  return history->AsOf(t);
+}
+
+Result<db::Relation> VersionStore::TableAsOfKey(const std::string& table,
+                                                Timestamp t,
+                                                const std::string& column,
+                                                const Value& key) const {
+  PTLDB_ASSIGN_OR_RETURN(const eval::RelationHistory* history,
+                         Versioned(table));
+  const std::optional<size_t> key_column = history->key_column();
+  if (key_column.has_value() &&
+      history->schema().column(*key_column).name == column) {
+    return history->AsOf(t, key);
+  }
+  return history->AsOf(t);
 }
 
 std::vector<std::string> VersionStore::VersionedTables() const {
@@ -312,7 +342,10 @@ Status VersionStore::Deserialize(codec::Reader* r) {
       cols.push_back(std::move(col));
     }
     PTLDB_ASSIGN_OR_RETURN(db::Schema schema, db::Schema::Make(std::move(cols)));
-    eval::RelationHistory history(std::move(schema));
+    // The database restores before the version store, so the catalog
+    // already names the key the archive index is derived on.
+    std::optional<size_t> key_column = KeyColumn(name, schema);
+    eval::RelationHistory history(std::move(schema), key_column);
     PTLDB_RETURN_IF_ERROR(history.Deserialize(r));
     tables_.emplace(std::move(name), std::move(history));
   }

@@ -26,6 +26,7 @@
 #define PTLDB_TEMPORAL_VERSIONING_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -113,6 +114,13 @@ class VersionStore : public db::Database::TemporalSink {
   /// history simply has nothing recorded yet).
   Result<db::Relation> TableAsOf(const std::string& table,
                                  Timestamp t) const override;
+  /// Keyed point read: a table's history is indexed on its single-column
+  /// primary key (derived at declaration and restore, never serialized), so
+  /// a probe of that column costs one binary search over the key's versions.
+  /// Other columns answer with the whole table, as the contract allows.
+  Result<db::Relation> TableAsOfKey(const std::string& table, Timestamp t,
+                                    const std::string& column,
+                                    const Value& key) const override;
 
   // ---- Inspection ----
   std::vector<std::string> VersionedTables() const;
@@ -152,6 +160,12 @@ class VersionStore : public db::Database::TemporalSink {
   Status DoDropVersioned(const std::string& table, bool strict);
   Status DoTrim(Timestamp horizon);
   Status Journal(const TemporalOp& op);
+  Result<const eval::RelationHistory*> Versioned(
+      const std::string& table) const;
+  /// The key column of `schema` for `table`'s archive index: its catalog
+  /// primary key when that is a single column of `schema`.
+  std::optional<size_t> KeyColumn(const std::string& table,
+                                  const db::Schema& schema) const;
 
   db::Database* db_;
   DdlSink* ddl_sink_ = nullptr;

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.h"
+#include "common/strings.h"
 #include "db/database.h"
 #include "testutil.h"
 
@@ -76,6 +77,70 @@ TEST_F(DatabaseTest, AbortRollsBackInserts) {
   ASSERT_FALSE(listener_.states.empty());
   EXPECT_TRUE(listener_.states.back().HasEvent(event::kAbortEvent));
   EXPECT_TRUE(listener_.attempts.empty());
+}
+
+TEST_F(DatabaseTest, AbortRollsBackAnIntWidenedIntoADoubleColumn) {
+  // The table stores 72 as 72.0; the undo record must name the stored row.
+  ASSERT_OK_AND_ASSIGN(int64_t txn, db_.Begin());
+  ASSERT_OK(db_.Insert(txn, "stock", {Value::Str("IBM"), Value::Int(72)}));
+  ASSERT_OK(db_.Abort(txn));
+  EXPECT_EQ(StockCount(), 0u);
+}
+
+TEST_F(DatabaseTest, PlanCacheParsesEachTextOnceAndStaysBounded) {
+  ASSERT_OK(db_.InsertRow("stock", {Value::Str("IBM"), Value::Real(72)}));
+  const size_t base = db_.plan_cache_size();
+  // One text with different $params is one plan.
+  for (const char* name : {"IBM", "HP", "IBM"}) {
+    ParamMap params{{"n", Value::Str(name)}};
+    ASSERT_OK(db_.QuerySql("SELECT price FROM stock WHERE name = $n", &params)
+                  .status());
+  }
+  EXPECT_EQ(db_.plan_cache_size(), base + 1);
+  // UpdateRows caches its WHERE and SET expressions.
+  ASSERT_OK(db_.UpdateRows("stock", {{"price", "price + 1"}}, "name = 'IBM'")
+                .status());
+  ASSERT_OK(db_.UpdateRows("stock", {{"price", "price + 1"}}, "name = 'IBM'")
+                .status());
+  EXPECT_EQ(db_.plan_cache_size(), base + 3);
+  // A text that fails to parse is reported on every call, never cached.
+  for (int i = 0; i < 2; ++i) {
+    EXPECT_EQ(db_.QuerySql("SELEC price FROM stock").status().code(),
+              StatusCode::kParseError);
+    EXPECT_EQ(db_.DeleteRows("stock", "price >").status().code(),
+              StatusCode::kParseError);
+  }
+  EXPECT_EQ(db_.plan_cache_size(), base + 3);
+  // Past the bound the least recently used plans go.
+  for (size_t i = 0; i < Database::kPlanCacheCapacity + 10; ++i) {
+    ASSERT_OK(db_.QuerySql(StrCat("SELECT price + ", i, " FROM stock")).status());
+    EXPECT_LE(db_.plan_cache_size(), Database::kPlanCacheCapacity);
+  }
+  EXPECT_EQ(db_.plan_cache_size(), Database::kPlanCacheCapacity);
+}
+
+TEST_F(DatabaseTest, CachedPlansSurviveDdl) {
+  // Plans are unbound: names resolve at execution, so a table dropped and
+  // recreated with another shape answers from the same cached text.
+  const std::string sql = "SELECT * FROM quote WHERE sym = 'IBM'";
+  ASSERT_OK(db_.CreateTable(
+      "quote", Schema({{"sym", ValueType::kString}, {"px", ValueType::kInt64}}),
+      {"sym"}));
+  ASSERT_OK(db_.InsertRow("quote", {Value::Str("IBM"), Value::Int(1)}));
+  ASSERT_OK_AND_ASSIGN(Relation before, db_.QuerySql(sql));
+  EXPECT_EQ(before.schema().num_columns(), 2u);
+  ASSERT_OK(db_.catalog().DropTable("quote"));
+  EXPECT_FALSE(db_.QuerySql(sql).ok());  // the cached plan meets no table
+  ASSERT_OK(db_.CreateTable(
+      "quote", Schema({{"venue", ValueType::kString},
+                       {"sym", ValueType::kString},
+                       {"bid", ValueType::kDouble}})));
+  ASSERT_OK(db_.InsertRow(
+      "quote", {Value::Str("X"), Value::Str("IBM"), Value::Real(2)}));
+  ASSERT_OK_AND_ASSIGN(Relation after, db_.QuerySql(sql));
+  ASSERT_EQ(after.size(), 1u);
+  EXPECT_EQ(after.schema().column(2).name, "bid");
+  EXPECT_EQ(after.row(0)[2], Value::Real(2));
 }
 
 TEST_F(DatabaseTest, VetoAbortsAndRollsBack) {

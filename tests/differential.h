@@ -23,7 +23,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <map>
+#include <memory>
 #include <string>
 #include <utility>
 #include <vector>
@@ -34,6 +37,8 @@
 #include "common/strings.h"
 #include "db/database.h"
 #include "formula_gen.h"
+#include "ptl/analyzer.h"
+#include "ptl/naive_eval.h"
 #include "ptl/parser.h"
 #include "rules/engine.h"
 #include "server/client.h"
@@ -563,6 +568,221 @@ inline Observed RunServed(World& w, const Scenario& sc, const ServeConfig& cfg,
   srv.Stop();
   out.tail += RenderFirings(srv.TakeFirings());
   Seal(w, &out);
+  return out;
+}
+
+// ---- Theorem 1 oracle ---------------------------------------------------------
+//
+// A listener proxy between the database and the engine snapshots every
+// appended state — its events and each eligible rule instance's query values —
+// before the engine sees it, whatever the engine then steps or skips. After
+// the run ptl::NaiveEvaluator decides every instance over its full history,
+// and its edge- and level-triggered firings must equal the engine's decision
+// log (every action it ran, recorded or not — the stream the WAL persists).
+class NaiveOracle : public db::Database::Listener,
+                    public rules::RuleEngine::FiringObserver {
+ public:
+  // Tracks `sc`'s rules in `w`; attaches between w.db and w.engine.
+  NaiveOracle(World& w, const Scenario& sc) : w_(w) {
+    for (const RuleSpec& spec : sc.rules) {
+      Rule rule;
+      rule.spec = &spec;
+      if (spec.kind == RuleSpec::Kind::kIc) {
+        rule.skip = "integrity constraint: decides prospective states";
+      } else if (spec.event_filtered) {
+        rule.skip = "event-filtered: steps only states naming its events";
+      } else if (spec.aggregate_rewrite) {
+        rule.skip = "rewritten aggregate: its items change during dispatch";
+      } else if (!w.engine.Describe(spec.name).ok()) {
+        rule.skip = "not registered";
+      }
+      rules_.push_back(std::move(rule));
+    }
+    w_.db.SetListener(this);
+    w_.engine.SetFiringObserver(this);
+  }
+  ~NaiveOracle() override {
+    w_.engine.SetFiringObserver(nullptr);
+    w_.db.SetListener(&w_.engine);
+  }
+
+  void OnFiring(const rules::Firing& firing) override {
+    decisions_.push_back(firing);
+  }
+  void OnIcVeto(int64_t, Timestamp, const std::vector<std::string>&) override {}
+
+  Status OnCommitAttempt(const event::SystemState& prospective,
+                         int64_t txn) override {
+    return Engine().OnCommitAttempt(prospective, txn);
+  }
+
+  void OnStateAppended(const event::SystemState& state) override {
+    for (Rule& rule : rules_) {
+      if (rule.skip.empty()) Observe(&rule, state);
+    }
+    Engine().OnStateAppended(state);
+  }
+
+  // Compares the naive decisions with the engine's; appends one line per
+  // disagreement to `diff` and counts checked and skipped rules.
+  void Check(std::string* diff, size_t* checked,
+             std::map<std::string, size_t>* skipped) {
+    for (Rule& rule : rules_) {
+      std::vector<std::string> naive;
+      for (const auto& instance : rule.instances) {
+        if (!rule.skip.empty()) break;
+        bool prev = false;
+        for (size_t i = 0; i < instance->times.size(); ++i) {
+          auto sat = instance->naive.SatisfiedAt(i);
+          if (!sat.ok()) {
+            rule.skip = StrCat("naive evaluation failed: ",
+                               sat.status().ToString());
+            break;
+          }
+          if (*sat && (rule.spec->level_triggered || !prev)) {
+            naive.push_back(StrCat(instance->params, "@", instance->times[i]));
+          }
+          prev = *sat;
+        }
+      }
+      if (!rule.skip.empty()) {
+        ++(*skipped)[rule.skip.substr(0, rule.skip.find(':'))];
+        continue;
+      }
+      ++*checked;
+      std::vector<std::string> online;
+      for (const rules::Firing& f : decisions_) {
+        if (f.rule == rule.spec->name) {
+          online.push_back(StrCat(f.params, "@", f.time));
+        }
+      }
+      std::sort(naive.begin(), naive.end());
+      std::sort(online.begin(), online.end());
+      if (naive != online) {
+        *diff += StrCat(rule.spec->name, " ", rule.spec->condition->ToString(),
+                        rule.spec->level_triggered ? " (level)" : "",
+                        ": naive fires [", Join(naive, " "),
+                        "], engine fired [", Join(online, " "), "]\n");
+      }
+    }
+  }
+
+ private:
+  struct Instance {
+    explicit Instance(ptl::Analysis a)
+        : analysis(std::move(a)), naive(&analysis) {}
+    std::string params;  // rendered as rules::Firing::params
+    ptl::Analysis analysis;
+    ptl::NaiveEvaluator naive;
+    std::vector<Timestamp> times;
+  };
+  struct Rule {
+    const RuleSpec* spec = nullptr;
+    std::string skip;  // why the rule is not checked; empty = checked
+    std::vector<std::unique_ptr<Instance>> instances;
+    std::map<std::string, Instance*> by_params;
+  };
+
+  db::Database::Listener& Engine() { return w_.engine; }
+
+  // A family instance exists from the first state whose domain names it
+  // (the engine refreshes families while gathering that state).
+  Instance* Find(Rule* rule, const std::map<std::string, Value>& params) {
+    std::vector<std::string> parts;
+    for (const auto& [name, value] : params) {
+      parts.push_back(StrCat(name, "=", value.ToString()));
+    }
+    std::string key = Join(parts, ",");
+    auto it = rule->by_params.find(key);
+    if (it != rule->by_params.end()) return it->second;
+    auto analysis =
+        ptl::Analyze(ptl::SubstituteParams(rule->spec->condition, params));
+    if (!analysis.ok()) {
+      rule->skip = StrCat("does not analyze: ", analysis.status().ToString());
+      return nullptr;
+    }
+    rule->instances.push_back(
+        std::make_unique<Instance>(std::move(analysis).value()));
+    Instance* instance = rule->instances.back().get();
+    instance->params = key;
+    rule->by_params.emplace(std::move(key), instance);
+    return instance;
+  }
+
+  void Observe(Rule* rule, const event::SystemState& state) {
+    std::vector<Instance*> live;
+    if (rule->spec->kind == RuleSpec::Kind::kFamily) {
+      auto domain = w_.db.QuerySql(rule->spec->domain_sql);
+      if (!domain.ok()) {
+        rule->skip = StrCat("domain query failed: ", domain.status().ToString());
+        return;
+      }
+      for (const db::Tuple& row : domain->rows()) {
+        std::map<std::string, Value> params;
+        for (size_t i = 0; i < rule->spec->param_names.size(); ++i) {
+          params.emplace(rule->spec->param_names[i], row[i]);
+        }
+        if (Find(rule, params) == nullptr) return;
+      }
+      for (const auto& instance : rule->instances) live.push_back(instance.get());
+    } else {
+      Instance* instance = Find(rule, {});
+      if (instance == nullptr) return;
+      live.push_back(instance);
+    }
+    for (Instance* instance : live) {
+      ptl::StateSnapshot snap;
+      snap.seq = state.seq;
+      snap.time = state.time;
+      snap.events = state.events;
+      for (const ptl::QuerySpec& spec : instance->analysis.slots) {
+        auto v = w_.engine.queries().Eval(spec);
+        if (!v.ok()) {
+          rule->skip = StrCat("query failed: ", v.status().ToString());
+          return;
+        }
+        snap.query_values.push_back(std::move(v).value());
+      }
+      instance->naive.Observe(std::move(snap));
+      instance->times.push_back(state.time);
+    }
+  }
+
+  World& w_;
+  std::vector<Rule> rules_;
+  std::vector<rules::Firing> decisions_;
+};
+
+struct NaiveResult {
+  std::string diff;  // empty when the engine matched the oracle
+  size_t checked = 0;
+  std::map<std::string, size_t> skipped;  // rules per reason
+};
+
+// The scenario through the serial, unbatched library engine with the oracle
+// attached. A failed action (its transaction vetoed) was still decided; any
+// other engine error means a state went unevaluated, which voids the
+// comparison, so such runs count every rule as skipped.
+inline NaiveResult RunNaive(const Scenario& sc) {
+  World w(sc);
+  NaiveOracle oracle(w, sc);
+  size_t index = 0;
+  bool step_errors = false;
+  for (const Wave& wave : sc.waves) {
+    w.clock.Advance(wave.advance);
+    for (const Op& op : wave.ops) {
+      (void)ApplyOp(w, op, index++);
+      for (const Status& e : w.engine.TakeErrors()) {
+        step_errors = step_errors || !e.message().starts_with("action of rule");
+      }
+    }
+  }
+  NaiveResult out;
+  if (step_errors) {
+    out.skipped["engine step errors"] = sc.rules.size();
+    return out;
+  }
+  oracle.Check(&out.diff, &out.checked, &out.skipped);
   return out;
 }
 

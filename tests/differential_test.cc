@@ -7,6 +7,8 @@
 //   Served   — a loopback socket server at several batch configurations
 //              against the unbatched library, on the analyzer-certified
 //              population.
+//   Naive    — Theorem 1: ptl::NaiveEvaluator over every appended state
+//              of every eligible rule instance against the engine's firings.
 //   Recover  — crash at every WAL record boundary (and torn offsets inside
 //              the next record), then Recover into a freshly built world:
 //              replay must reproduce every logged firing decision
@@ -14,8 +16,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <map>
 #include <string>
 #include <vector>
 
@@ -142,6 +146,28 @@ TEST(Served, TakeFiringsServesAndClearsTheLog) {
   World w(sc, /*certify=*/true);
   EXPECT_TRUE(Same(ref, RunServed(w, sc, {"batch=16", 16, 200},
                                   /*take_each_wave=*/true)));
+}
+
+// Theorem 1 as an oracle: the naive evaluator, fed every appended state,
+// fires exactly where the incremental engine fired.
+TEST(Naive, NaiveEvaluatorAgreesWithEngineFirings) {
+  for (WorldKind world : kWorlds) {
+    size_t checked = 0;
+    std::map<std::string, size_t> skipped;
+    for (uint64_t seed = 1; seed <= 200; ++seed) {
+      Scenario sc = MakeScenario(world, seed);
+      NaiveResult r = RunNaive(sc);
+      EXPECT_EQ(r.diff, "") << Label(sc);
+      checked += r.checked;
+      for (const auto& [reason, n] : r.skipped) skipped[reason] += n;
+    }
+    std::printf("naive arm, %s world: %zu rule(s) checked\n",
+                world == WorldKind::kStock ? "stock" : "random", checked);
+    for (const auto& [reason, n] : skipped) {
+      std::printf("  skipped %zu: %s\n", n, reason.c_str());
+    }
+    EXPECT_GT(checked, 0u) << "no rule was checked";
+  }
 }
 
 // Offsets at which a truncation leaves a whole number of records.

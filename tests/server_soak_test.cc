@@ -36,6 +36,7 @@
 #include "server/server.h"
 #include "storage/durability.h"
 #include "storage/recovery.h"
+#include "temporal/versioning.h"
 #include "testutil.h"
 
 namespace ptldb::server {
@@ -379,6 +380,54 @@ TEST_F(ServerSoakTest, RejectWhenFullShedsLoadWithoutCorruption) {
   }
   EXPECT_GT(acked, 0u);
   EXPECT_EQ(metrics.counter("server.busy_rejections").Get(), rejected);
+  EXPECT_EQ(srv.busy_rejections(), rejected);
+}
+
+// A QUERY_ASOF frame runs the same keyed archive read as the library call,
+// and an unversioned table fails the same way over the wire.
+TEST_F(ServerSoakTest, QueryAsOfFrameAnswersFromTheArchive) {
+  SoakWorld world;
+  temporal::VersionStore temporal(&world.db);
+  ASSERT_OK(temporal.SetVersioned("stock"));
+  world.Seed();
+  const Timestamp seeded = world.db.history().last_time();
+  world.clock.Advance(5);
+  ASSERT_OK(world.db.UpdateRows("stock", {{"price", "55"}}, "name = 'IBM'")
+                .status());
+
+  Server srv(ServerOptions{}, &world.db, &world.engine, /*mgr=*/nullptr);
+  ASSERT_OK(srv.Start());
+  Client client;
+  ASSERT_OK(client.Connect(srv.port()));
+  auto asof = [&client](std::string sql, Timestamp t) {
+    Request req;
+    req.type = MsgType::kQueryAsOf;
+    req.sql = std::move(sql);
+    req.asof_time = t;
+    req.params = {{"n", Value::Str("IBM")}};
+    auto resp = client.Call(std::move(req));
+    PTLDB_CHECK_OK(resp.status());
+    return std::move(resp).value();
+  };
+  const std::string sql = "SELECT price FROM stock WHERE name = $n";
+  Response old_price = asof(sql, seeded);
+  Response unversioned = asof("SELECT seq FROM ticks WHERE client = 1", seeded);
+  client.Close();
+  srv.Stop();
+
+  db::ParamMap params{{"n", Value::Str("IBM")}};
+  ASSERT_OK_AND_ASSIGN(db::Relation want,
+                       world.db.QuerySqlAsOf(sql, seeded, &params));
+  EXPECT_EQ(old_price.code, StatusCode::kOk) << old_price.message;
+  EXPECT_EQ(old_price.rows, 1);
+  EXPECT_EQ(old_price.text, want.ToString());
+  EXPECT_NE(old_price.text.find("40"), std::string::npos) << old_price.text;
+  Status lib = world.db
+                   .QuerySqlAsOf("SELECT seq FROM ticks WHERE client = 1",
+                                 seeded)
+                   .status();
+  EXPECT_EQ(unversioned.code, lib.code());
+  EXPECT_EQ(unversioned.message, lib.message());
 }
 
 // Observability under load: STATS_DELTA pollers run concurrently with

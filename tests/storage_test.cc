@@ -408,6 +408,46 @@ TEST_F(StorageTest, GroupCommitBatchBoundariesDeterministic) {
   EXPECT_EQ(wal_stats.syncs, 2u);
 }
 
+TEST_F(StorageTest, GroupCommitSyncAllAcksEveryRecordItCovers) {
+  // The server acks a batch through one SyncAll barrier: the N records that
+  // barrier makes durable are N acked commits, N-1 of them coalesced.
+  PosixFileFactory factory;
+  ASSERT_OK_AND_ASSIGN(auto file,
+                       factory.OpenWritable(Path("syncall.log"), true));
+  WalStats wal_stats;
+  ASSERT_OK_AND_ASSIGN(WalWriter writer,
+                       WalWriter::Create(std::move(file), FsyncPolicy::kGroup,
+                                         &wal_stats));
+  GroupCommitter group(&writer);
+  constexpr uint64_t kAppends = 7;
+  for (uint64_t i = 0; i < kAppends; ++i) {
+    ASSERT_OK(group.Append([](WalWriter* w) {
+                     return w->AppendFiring({"r", "", 0});
+                   }).status());
+  }
+  ASSERT_OK(group.SyncAll());
+  GroupCommitStats stats = group.stats();
+  EXPECT_EQ(stats.sync_batches, 1u);
+  EXPECT_EQ(stats.commits_acked, kAppends);
+  EXPECT_EQ(stats.commits_coalesced, kAppends - 1);
+  EXPECT_EQ(stats.max_batch, kAppends);
+  // A barrier over an already durable tail syncs and acks nothing.
+  ASSERT_OK(group.SyncAll());
+  stats = group.stats();
+  EXPECT_EQ(wal_stats.syncs, 1u);
+  EXPECT_EQ(stats.commits_acked, kAppends);
+  // The next batch starts a new group.
+  ASSERT_OK(group.Append([](WalWriter* w) {
+                   return w->AppendFiring({"r", "", 0});
+                 }).status());
+  ASSERT_OK(group.SyncAll());
+  stats = group.stats();
+  EXPECT_EQ(stats.sync_batches, 2u);
+  EXPECT_EQ(stats.commits_acked, kAppends + 1);
+  EXPECT_EQ(stats.commits_coalesced, kAppends - 1);
+  EXPECT_EQ(stats.max_batch, kAppends);
+}
+
 TEST_F(StorageTest, GroupCommitConcurrentWaitersCoalesce) {
   // A sync slow enough that waiters pile up behind the leader's latch: the
   // fsync count must come out well below the commit count (that gap IS the

@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <filesystem>
 #include <map>
+#include <optional>
 #include <random>
 #include <string>
 #include <vector>
@@ -242,6 +243,181 @@ TEST(TemporalAsOf, ZeroLengthIntervalIsDroppedByTheColumnarStore) {
   EXPECT_EQ(at10.size(), 1u);
   ASSERT_OK_AND_ASSIGN(db::Relation at11, h.AsOf(11));
   EXPECT_EQ(at11.size(), 0u);
+}
+
+// ---- Keyed AS OF point reads ----------------------------------------------
+
+// Runs `keyed` (a primary-key point lookup the executor answers from the
+// archive's key index) and `scan` (the same question phrased so no index
+// applies) and expects identical answers, or identical codes and messages.
+void ExpectSameAsScan(const World& w, const std::string& keyed,
+                      const std::string& scan, std::optional<Timestamp> at,
+                      const db::ParamMap* params) {
+  auto run = [&](const std::string& sql) {
+    return at.has_value() ? w.db.QuerySqlAsOf(sql, *at, params)
+                          : w.db.QuerySql(sql, params);
+  };
+  Result<db::Relation> a = run(keyed);
+  Result<db::Relation> b = run(scan);
+  ASSERT_EQ(a.ok(), b.ok()) << keyed << " | " << scan;
+  if (!a.ok()) {
+    EXPECT_EQ(a.status().code(), b.status().code()) << keyed;
+    EXPECT_EQ(a.status().message(), b.status().message()) << keyed;
+    return;
+  }
+  EXPECT_EQ(a->ToString(), b->ToString()) << keyed;
+}
+
+TEST(TemporalAsOf, KeyedPointReadsMatchTheScanPath) {
+  World w;
+  w.Seed();
+  std::vector<Timestamp> times = {w.LastTime()};
+  for (double price : {50.0, 61.5, 70.0}) {
+    w.SetPrice("IBM", price);
+    times.push_back(w.LastTime());
+    w.SetPrice("HP", price / 2, /*advance=*/3);
+    times.push_back(w.LastTime());
+  }
+  // One text, many $params: each key reads its own versions.
+  const std::string keyed = "SELECT price FROM stock WHERE name = $n";
+  const std::string scan = "SELECT price FROM stock WHERE NOT (name != $n)";
+  const std::string keyed_alias =
+      "SELECT s.name, s.price FROM stock AS s WHERE s.name = $n";
+  const std::string scan_alias =
+      "SELECT s.name, s.price FROM stock AS s WHERE NOT (s.name != $n)";
+  const std::string keyed_inline =
+      "SELECT price FROM stock AS OF $t WHERE $n = name";
+  const std::string scan_inline =
+      "SELECT price FROM stock AS OF $t WHERE NOT ($n != name)";
+  for (Timestamp t : times) {
+    for (Timestamp probe : {t - 1, t, t + 1}) {
+      for (const char* name : {"IBM", "HP", "GHOST"}) {
+        db::ParamMap params{{"n", Value::Str(name)}, {"t", Value::Int(probe)}};
+        ExpectSameAsScan(w, keyed, scan, probe, &params);
+        ExpectSameAsScan(w, keyed_alias, scan_alias, probe, &params);
+        ExpectSameAsScan(w, keyed_inline, scan_inline, std::nullopt, &params);
+      }
+    }
+  }
+  // The keyed path answered from the archive at the right instants.
+  db::ParamMap ibm{{"n", Value::Str("IBM")}};
+  ASSERT_OK_AND_ASSIGN(db::Relation rel,
+                       w.db.QuerySqlAsOf(keyed, times[1], &ibm));
+  ASSERT_EQ(rel.size(), 1u);
+  EXPECT_EQ(rel.row(0)[0], Value::Real(50));
+  ASSERT_OK_AND_ASSIGN(rel, w.db.QuerySqlAsOf(keyed, times[1] - 1, &ibm));
+  ASSERT_EQ(rel.size(), 1u);
+  EXPECT_EQ(rel.row(0)[0], Value::Real(40));
+}
+
+TEST(TemporalAsOf, KeyedReadsCoerceLikeSqlEquality) {
+  World w;
+  ASSERT_OK(w.db.CreateTable(
+      "rate", db::Schema({{"r", ValueType::kDouble},
+                          {"label", ValueType::kString}}),
+      {"r"}));
+  ASSERT_OK(w.temporal.SetVersioned("rate"));
+  ASSERT_OK(w.temporal.SetVersioned("note"));
+  // The int is archived widened, as the table stores it, so a later update
+  // supersedes the archived row.
+  ASSERT_OK(w.db.InsertRow("rate", {Value::Int(1), Value::Str("one")}));
+  ASSERT_OK(w.db.InsertRow("note", {Value::Int(1), Value::Str("n1")}));
+  const Timestamp t = w.LastTime();
+  ASSERT_OK(w.db.UpdateRows("rate", {{"label", "'uno'"}}, "r = 1").status());
+  // An int probes the kDouble key (rows are stored widened), a double probes
+  // the kInt64 key (1 = 1.0 holds), and a string probes a numeric key (never
+  // equal, not an error).
+  struct Case {
+    const char* keyed;
+    const char* scan;
+    size_t rows;
+  };
+  const Case cases[] = {
+      {"SELECT label FROM rate WHERE r = 1",
+       "SELECT label FROM rate WHERE NOT (r != 1)", 1},
+      {"SELECT label FROM rate WHERE r = 1.0",
+       "SELECT label FROM rate WHERE NOT (r != 1.0)", 1},
+      {"SELECT text FROM note WHERE id = 1.0",
+       "SELECT text FROM note WHERE NOT (id != 1.0)", 1},
+      {"SELECT text FROM note WHERE id = '1'",
+       "SELECT text FROM note WHERE NOT (id != '1')", 0},
+  };
+  // The live tables' hash index follows the same rule.
+  for (const Case& c : cases) {
+    ExpectSameAsScan(w, c.keyed, c.scan, t, nullptr);
+    ExpectSameAsScan(w, c.keyed, c.scan, std::nullopt, nullptr);
+    ASSERT_OK_AND_ASSIGN(db::Relation rel, w.db.QuerySqlAsOf(c.keyed, t));
+    EXPECT_EQ(rel.size(), c.rows) << c.keyed;
+    ASSERT_OK_AND_ASSIGN(rel, w.db.QuerySql(c.keyed));
+    EXPECT_EQ(rel.size(), c.rows) << c.keyed;
+  }
+}
+
+TEST(TemporalAsOf, KeyedReadErrorsMatchTheScanPath) {
+  World w;
+  w.Seed();
+  w.SetPrice("IBM", 50);
+  w.SetPrice("IBM", 60);
+  const Timestamp horizon = w.LastTime();
+  w.SetPrice("IBM", 70);
+  ASSERT_OK(w.temporal.TrimHistoryBefore(horizon));
+
+  // Unversioned table: InvalidArgument, same message either way.
+  ExpectSameAsScan(w, "SELECT text FROM note WHERE id = 1",
+                   "SELECT text FROM note WHERE NOT (id != 1)", horizon,
+                   nullptr);
+  EXPECT_EQ(w.db.QuerySqlAsOf("SELECT text FROM note WHERE id = 1", horizon)
+                .status()
+                .code(),
+            StatusCode::kInvalidArgument);
+  // Behind the trim horizon: OutOfRange, same message either way.
+  ExpectSameAsScan(w, "SELECT price FROM stock WHERE name = 'IBM'",
+                   "SELECT price FROM stock WHERE NOT (name != 'IBM')",
+                   horizon - 1, nullptr);
+  EXPECT_EQ(w.db.QuerySqlAsOf("SELECT price FROM stock WHERE name = 'IBM'",
+                              horizon - 1)
+                .status()
+                .code(),
+            StatusCode::kOutOfRange);
+  // No version store attached: the inline AS OF fails alike.
+  SimClock clock;
+  db::Database bare(&clock);
+  ASSERT_OK(bare.CreateTable(
+      "stock", db::Schema({{"name", ValueType::kString}}), {"name"}));
+  Result<db::Relation> keyed =
+      bare.QuerySql("SELECT name FROM stock AS OF 3 WHERE name = 'IBM'");
+  Result<db::Relation> scan =
+      bare.QuerySql("SELECT name FROM stock AS OF 3 WHERE NOT (name != 'IBM')");
+  ASSERT_FALSE(keyed.ok());
+  EXPECT_EQ(keyed.status().code(), scan.status().code());
+  EXPECT_EQ(keyed.status().message(), scan.status().message());
+}
+
+TEST(TemporalAsOf, KeyIndexIsRederivedOnRestore) {
+  World w;
+  w.Seed();
+  w.SetPrice("IBM", 50);
+  const Timestamp t = w.LastTime();
+  w.SetPrice("IBM", 60);
+  std::string bytes;
+  codec::Writer writer(&bytes);
+  w.temporal.Serialize(&writer);
+
+  World restored;
+  codec::Reader reader(bytes);
+  ASSERT_OK(restored.temporal.Deserialize(&reader));
+  ASSERT_OK_AND_ASSIGN(const eval::RelationHistory* h,
+                       restored.temporal.History("stock"));
+  EXPECT_EQ(h->key_column(), std::optional<size_t>(0));
+  ASSERT_OK_AND_ASSIGN(db::Relation rel,
+                       h->AsOf(t, Value::Str("IBM")));
+  ASSERT_EQ(rel.size(), 1u);
+  EXPECT_EQ(rel.row(0)[1], Value::Real(50));
+  // The derived index never reaches the checkpoint bytes.
+  std::string again;
+  codec::Writer writer2(&again);
+  restored.temporal.Serialize(&writer2);
+  EXPECT_EQ(again, bytes);
 }
 
 // ---- Retention --------------------------------------------------------------
