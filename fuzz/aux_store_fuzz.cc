@@ -1,14 +1,21 @@
-// libFuzzer harness for the aux-store decoders: RelationHistory::Deserialize
-// and ScalarSeries::Deserialize, columnar (v2) and row-oriented (v1) dumps —
-// the bytes a checkpoint restore hands them.
+// libFuzzer harness for the history-substrate decoders, the bytes a
+// checkpoint restore or WAL replay hands them:
+//   * eval::RelationHistory::Deserialize (tag 0xC2, version 2; every other
+//     dump, the retired row-oriented v1 format included, is refused);
+//   * temporal::VersionStore::Deserialize, against a database holding one
+//     keyed table and one bag table;
+//   * temporal::DeserializeTemporalOp (a WAL kTemporal record body).
 //
 // Invariants under fuzzing:
 //   * Decoding NEVER crashes, aborts, trips a sanitizer or allocates without
 //     bound on any byte sequence: a crafted dump comes back as a Status.
-//   * A rejected dump leaves an empty RelationHistory.
+//   * A rejected RelationHistory dump leaves an empty history.
 //   * After a decode, reads stay in bounds, and the per-key index rebuilt
 //     from the decoded bytes agrees with the scan: the keyed AsOf(t, key)
 //     equals AsOf(t) filtered on the key (rows, order, and errors).
+//   * A decoded VersionStore re-serializes to bytes that decode again and
+//     re-serialize identically; a decoded TemporalOp re-encodes to exactly
+//     the bytes it consumed.
 //
 // Build modes mirror parser_fuzz.cc (fuzz/CMakeLists.txt): a real libFuzzer
 // binary under clang with -DPTLDB_FUZZERS=ON, and a standalone corpus-replay
@@ -19,12 +26,18 @@
 #include <cstdint>
 #include <cstdlib>
 #include <limits>
+#include <string>
 #include <string_view>
 #include <utility>
 #include <vector>
 
+#include "common/clock.h"
 #include "common/codec.h"
+#include "common/logging.h"
+#include "common/metrics.h"
+#include "db/database.h"
 #include "eval/aux_store.h"
+#include "temporal/versioning.h"
 
 namespace {
 
@@ -78,17 +91,73 @@ void CheckRelationHistory(std::string_view input, ptldb::db::Schema schema) {
   }
 }
 
-void CheckScalarSeries(std::string_view input) {
-  ptldb::eval::ScalarSeries series;
+// Serializes `store` into a fresh string.
+std::string Dump(const ptldb::temporal::VersionStore& store) {
+  std::string bytes;
+  ptldb::codec::Writer w(&bytes);
+  store.Serialize(&w);
+  return bytes;
+}
+
+// A database with the two table shapes a version store keys differently:
+// `quote` has a single-column primary key (keyed archive index), `fill` is a
+// bag with no key.
+struct StoreWorld {
+  ptldb::SimClock clock;
+  ptldb::db::Database db{&clock};
+  ptldb::temporal::VersionStore store{&db};
+
+  StoreWorld() {
+    PTLDB_CHECK_OK(db.CreateTable(
+        "quote",
+        ptldb::db::Schema({{"sym", ValueType::kString},
+                           {"px", ValueType::kDouble}}),
+        {"sym"}));
+    PTLDB_CHECK_OK(db.CreateTable(
+        "fill", ptldb::db::Schema({{"sym", ValueType::kString},
+                                   {"qty", ValueType::kInt64}})));
+  }
+};
+
+void CheckVersionStore(std::string_view input) {
+  StoreWorld w;
   ptldb::codec::Reader r(input);
-  if (!series.Deserialize(&r).ok()) return;
-  (void)series.Latest();
+  if (!w.store.Deserialize(&r).ok()) return;
   std::vector<Timestamp> probes = {std::numeric_limits<Timestamp>::min(), -1,
-                                   0, 1, 1000, kTimeMax};
-  for (Timestamp t : probes) (void)series.AsOf(t);
-  std::sort(probes.begin(), probes.end());
-  std::vector<Value> out;
-  (void)series.GatherAsOf(probes, &out);
+                                   0, 1, kTimeMax};
+  const auto& log = w.store.commit_log();
+  for (size_t i = 0; i < log.size() && i < kMaxProbeRows; ++i) {
+    probes.push_back(log[i].time);
+  }
+  for (const std::string& table : w.store.VersionedTables()) {
+    (void)w.store.HistoryRelation(table);
+    for (Timestamp t : probes) {
+      (void)w.store.TableAsOf(table, t);
+      for (const Value& key : {Value::Str("IBM"), Value::Int(0)}) {
+        (void)w.store.TableAsOfKey(table, t, "sym", key);
+      }
+    }
+  }
+  ptldb::Metrics m;
+  w.store.ExportTo(m);
+  // What a decoded store writes, a store decodes, to the same bytes.
+  const std::string once = Dump(w.store);
+  StoreWorld again;
+  ptldb::codec::Reader r2(once);
+  if (!again.store.Deserialize(&r2).ok() || !r2.ExpectEnd().ok()) {
+    std::abort();
+  }
+  if (Dump(again.store) != once) std::abort();
+}
+
+void CheckTemporalOp(std::string_view input) {
+  ptldb::codec::Reader r(input);
+  auto op = ptldb::temporal::DeserializeTemporalOp(&r);
+  if (!op.ok()) return;
+  std::string bytes;
+  ptldb::codec::Writer w(&bytes);
+  ptldb::temporal::SerializeTemporalOp(*op, &w);
+  if (bytes != input.substr(0, input.size() - r.remaining())) std::abort();
 }
 
 }  // namespace
@@ -99,7 +168,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
                                                  {"px", ValueType::kInt64}}));
   CheckRelationHistory(input, ptldb::db::Schema({{"k", ValueType::kInt64},
                                                  {"v", ValueType::kDouble}}));
-  CheckScalarSeries(input);
+  CheckVersionStore(input);
+  CheckTemporalOp(input);
   return 0;
 }
 

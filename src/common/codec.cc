@@ -98,11 +98,6 @@ Result<uint8_t> Reader::U8() {
   return static_cast<uint8_t>(data_[pos_++]);
 }
 
-Result<uint8_t> Reader::PeekU8() const {
-  if (remaining() < 1) return Short("u8");
-  return static_cast<uint8_t>(data_[pos_]);
-}
-
 Result<uint32_t> Reader::U32() {
   if (remaining() < 4) return Short("u32");
   uint32_t v = 0;

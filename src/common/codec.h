@@ -56,8 +56,6 @@ class Reader {
   explicit Reader(std::string_view data) : data_(data) {}
 
   Result<uint8_t> U8();
-  /// Next byte without consuming it (wire-format version sniffing).
-  Result<uint8_t> PeekU8() const;
   Result<uint32_t> U32();
   Result<uint64_t> U64();
   Result<int64_t> I64();

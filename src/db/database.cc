@@ -337,12 +337,6 @@ Result<Relation> Database::QuerySql(std::string_view sql,
   return Query(plan, params);
 }
 
-Result<Value> Database::QueryScalar(const QueryPtr& plan,
-                                    const ParamMap* params) const {
-  QueryExecutor exec(&catalog_, temporal_sink_);
-  return exec.ExecuteScalar(plan, params);
-}
-
 Result<Relation> Database::QuerySqlAsOf(std::string_view sql, Timestamp t,
                                         const ParamMap* params) const {
   if (temporal_sink_ == nullptr) {

@@ -165,8 +165,6 @@ class Database {
                          const ParamMap* params = nullptr) const;
   Result<Relation> QuerySql(std::string_view sql,
                             const ParamMap* params = nullptr) const;
-  Result<Value> QueryScalar(const QueryPtr& plan,
-                            const ParamMap* params = nullptr) const;
 
   /// Time-travel query: every table scanned by `sql` is read as of time `t`
   /// (committed state only). Requires a temporal sink and that each scanned

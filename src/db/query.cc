@@ -173,12 +173,6 @@ Result<Relation> QueryExecutor::Execute(const QueryPtr& query,
   return Status::Internal("unknown query node kind");
 }
 
-Result<Value> QueryExecutor::ExecuteScalar(const QueryPtr& query,
-                                           const ParamMap* params) const {
-  PTLDB_ASSIGN_OR_RETURN(Relation rel, Execute(query, params));
-  return rel.ScalarValue();
-}
-
 namespace {
 
 // Renames a schema's columns to "alias.col" (scan output convention).

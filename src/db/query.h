@@ -152,10 +152,6 @@ class QueryExecutor {
   Result<Relation> Execute(const QueryPtr& query,
                            const ParamMap* params = nullptr) const;
 
-  /// Runs the plan and coerces the result to a scalar (1 row x 1 column).
-  Result<Value> ExecuteScalar(const QueryPtr& query,
-                              const ParamMap* params = nullptr) const;
-
  private:
   /// The instant a scan reads: its own `AS OF` wins over the executor-wide
   /// default; nullopt reads the live table.

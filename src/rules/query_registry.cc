@@ -50,27 +50,7 @@ Result<db::ParamMap> QueryRegistry::BindArgs(const SqlQuery& q,
 Result<Value> QueryRegistry::Eval(const ptl::QuerySpec& spec) const {
   auto cit = computed_.find(spec.name);
   if (cit != computed_.end()) return cit->second(spec.args);
-
-  auto it = sql_queries_.find(spec.name);
-  if (it == sql_queries_.end()) {
-    return Status::NotFound(
-        StrCat("no query registered for function symbol '", spec.name, "'"));
-  }
-  PTLDB_ASSIGN_OR_RETURN(db::ParamMap params,
-                         BindArgs(it->second, spec.args, spec.name));
-  PTLDB_ASSIGN_OR_RETURN(db::Relation rel,
-                         database_->Query(it->second.plan, &params));
-  if (rel.schema().num_columns() == 1 && rel.empty()) {
-    return Value::Null();  // "no such row"
-  }
-  auto scalar = rel.ScalarValue();
-  if (!scalar.ok()) {
-    return Status::TypeMismatch(
-        StrCat("query ", spec.ToString(), " used as a scalar but returned ",
-               rel.size(), " row(s) x ", rel.schema().num_columns(),
-               " column(s)"));
-  }
-  return scalar;
+  return EvalSql(spec, std::nullopt);
 }
 
 Result<Value> QueryRegistry::EvalAsOf(const ptl::QuerySpec& spec,
@@ -80,12 +60,17 @@ Result<Value> QueryRegistry::EvalAsOf(const ptl::QuerySpec& spec,
         StrCat("computed query '", spec.name,
                "' cannot be evaluated against a historical state"));
   }
+  return EvalSql(spec, t);
+}
+
+Result<Value> QueryRegistry::EvalSql(const ptl::QuerySpec& spec,
+                                     std::optional<Timestamp> asof) const {
   auto it = sql_queries_.find(spec.name);
   if (it == sql_queries_.end()) {
     return Status::NotFound(
         StrCat("no query registered for function symbol '", spec.name, "'"));
   }
-  if (database_->temporal_sink() == nullptr) {
+  if (asof.has_value() && database_->temporal_sink() == nullptr) {
     return Status::InvalidArgument(
         StrCat("AS OF evaluation of '", spec.name,
                "' requires a version store (none attached)"));
@@ -93,7 +78,7 @@ Result<Value> QueryRegistry::EvalAsOf(const ptl::QuerySpec& spec,
   PTLDB_ASSIGN_OR_RETURN(db::ParamMap params,
                          BindArgs(it->second, spec.args, spec.name));
   db::QueryExecutor exec(&std::as_const(*database_).catalog(),
-                         database_->temporal_sink(), t);
+                         database_->temporal_sink(), asof);
   PTLDB_ASSIGN_OR_RETURN(db::Relation rel,
                          exec.Execute(it->second.plan, &params));
   if (rel.schema().num_columns() == 1 && rel.empty()) {
@@ -107,18 +92,6 @@ Result<Value> QueryRegistry::EvalAsOf(const ptl::QuerySpec& spec,
                " column(s)"));
   }
   return scalar;
-}
-
-Result<db::Relation> QueryRegistry::EvalRelation(
-    const std::string& name, const std::vector<Value>& args) const {
-  auto it = sql_queries_.find(name);
-  if (it == sql_queries_.end()) {
-    return Status::NotFound(
-        StrCat("no relational query registered under '", name, "'"));
-  }
-  PTLDB_ASSIGN_OR_RETURN(db::ParamMap params,
-                         BindArgs(it->second, args, name));
-  return database_->Query(it->second.plan, &params);
 }
 
 namespace {

@@ -14,6 +14,7 @@
 #define PTLDB_RULES_QUERY_REGISTRY_H_
 
 #include <functional>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -62,11 +63,6 @@ class QueryRegistry {
     return computed_.count(name) > 0;
   }
 
-  /// Evaluates the full relation of a registered SQL query (used for rule
-  /// family domains and diagnostics). Computed queries are not relational.
-  Result<db::Relation> EvalRelation(const std::string& name,
-                                    const std::vector<Value>& args) const;
-
   /// The tables a registered SQL query's plan scans (sorted, deduplicated) —
   /// the read footprint the rule-set analyzer charges to conditions using
   /// the symbol. A computed query closes over live state the registry cannot
@@ -85,6 +81,10 @@ class QueryRegistry {
   Result<db::ParamMap> BindArgs(const SqlQuery& q,
                                 const std::vector<Value>& args,
                                 const std::string& name) const;
+  /// Eval and EvalAsOf's one SQL path: runs the query live, or with every
+  /// scan read as of `asof`, and shapes the result as described above.
+  Result<Value> EvalSql(const ptl::QuerySpec& spec,
+                        std::optional<Timestamp> asof) const;
 
   db::Database* database_;
   std::unordered_map<std::string, SqlQuery> sql_queries_;

@@ -60,7 +60,7 @@ Status VersionStore::DoSetVersioned(const std::string& table, bool strict) {
   const Timestamp seed_time = db_->history().empty()
                                   ? db_->clock()->Now()
                                   : db_->history().last_time();
-  PTLDB_RETURN_IF_ERROR(history.Record(seed_time, t->Snapshot()));
+  PTLDB_RETURN_IF_ERROR(history.ApplyDelta(seed_time, {}, t->rows()));
   tables_.emplace(table, std::move(history));
   return Status::OK();
 }
@@ -307,7 +307,8 @@ Status VersionStore::Deserialize(codec::Reader* r) {
   PTLDB_ASSIGN_OR_RETURN(uint8_t version, r->U8());
   if (version != kStoreVersion) {
     return Status::InvalidArgument(
-        StrCat("unknown version-store wire version ", version));
+        StrCat("unknown version-store wire version ",
+               static_cast<int>(version)));
   }
   PTLDB_ASSIGN_OR_RETURN(commits_archived_, r->U64());
   PTLDB_ASSIGN_OR_RETURN(rows_archived_, r->U64());

@@ -4,9 +4,10 @@
 // every `Database::Commit` archives the rows the transaction superseded into
 // a paired history table stamped with the system period [T_start, T_end) on
 // the transaction clock — the arkhipov/temporal_tables model, represented
-// with the columnar run + dictionary layout of eval::RelationHistory so an
-// `AS OF t` read is a binary-search gather over interval columns, not a scan
-// of archived rows.
+// with the columnar run + dictionary layout of eval::RelationHistory. An
+// `AS OF t` point read on the primary key binary-searches that key's
+// versions; a whole-table read binary-searches the start column for the rows
+// started by t and keeps those not yet ended.
 //
 // The store also retains the *collapsed committed history* of the paper's §9:
 // the sequence of commit points and user-event states (begin/abort/

@@ -1,7 +1,10 @@
-// Tests for the §5 auxiliary relations: interval-stamped scalar series and
-// relation histories (R_x with T_start / T_end).
+// Tests for the §5 auxiliary relation R_x with T_start / T_end: the
+// RelationHistory that temporal::VersionStore fills through ApplyDelta, the
+// one write path every commit takes.
 
 #include <gtest/gtest.h>
+
+#include <algorithm>
 
 #include "common/strings.h"
 #include "eval/aux_store.h"
@@ -10,262 +13,28 @@
 namespace ptldb::eval {
 namespace {
 
-TEST(ScalarSeriesTest, RecordAndAsOf) {
-  ScalarSeries s;
-  EXPECT_FALSE(s.AsOf(5).ok());
-  ASSERT_OK(s.Record(10, Value::Int(1)));
-  ASSERT_OK(s.Record(20, Value::Int(2)));
-  ASSERT_OK(s.Record(30, Value::Int(3)));
-  EXPECT_FALSE(s.AsOf(9).ok());  // before first record
-  ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(10));
-  EXPECT_EQ(v, Value::Int(1));
-  ASSERT_OK_AND_ASSIGN(v, s.AsOf(19));
-  EXPECT_EQ(v, Value::Int(1));
-  ASSERT_OK_AND_ASSIGN(v, s.AsOf(20));
-  EXPECT_EQ(v, Value::Int(2));
-  ASSERT_OK_AND_ASSIGN(v, s.AsOf(1000));
-  EXPECT_EQ(v, Value::Int(3));
-  ASSERT_OK_AND_ASSIGN(v, s.Latest());
-  EXPECT_EQ(v, Value::Int(3));
-}
-
-TEST(ScalarSeriesTest, UnchangedValuesDoNotGrowTheSeries) {
-  ScalarSeries s;
-  ASSERT_OK(s.Record(1, Value::Int(7)));
-  ASSERT_OK(s.Record(2, Value::Int(7)));
-  ASSERT_OK(s.Record(3, Value::Int(7)));
-  EXPECT_EQ(s.num_intervals(), 1u);
-  ASSERT_OK(s.Record(4, Value::Int(8)));
-  EXPECT_EQ(s.num_intervals(), 2u);
-}
-
-TEST(ScalarSeriesTest, OutOfOrderRecordRejected) {
-  ScalarSeries s;
-  ASSERT_OK(s.Record(10, Value::Int(1)));
-  EXPECT_FALSE(s.Record(5, Value::Int(2)).ok());
-}
-
-TEST(ScalarSeriesTest, SameInstantOverwrite) {
-  ScalarSeries s;
-  ASSERT_OK(s.Record(10, Value::Int(1)));
-  ASSERT_OK(s.Record(10, Value::Int(2)));  // replaces the zero-length interval
-  ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(10));
-  EXPECT_EQ(v, Value::Int(2));
-  EXPECT_EQ(s.num_intervals(), 1u);
-}
-
-TEST(ScalarSeriesTest, TrimBeforeBoundsMemory) {
-  ScalarSeries s;
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i)));
-  }
-  s.TrimBefore(90);
-  EXPECT_LE(s.num_intervals(), 11u);
-  EXPECT_FALSE(s.AsOf(50).ok());  // trimmed
-  ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(95));
-  EXPECT_EQ(v, Value::Int(95));
-}
-
-TEST(ScalarSeriesTest, NeverRecordedVsTrimmedAreDistinctErrors) {
-  ScalarSeries s;
-  // Nothing recorded yet: NotFound, not OutOfRange.
-  EXPECT_EQ(s.AsOf(5).status().code(), StatusCode::kNotFound);
-  for (int i = 10; i < 40; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i)));
-  }
-  // Before the series ever began: still NotFound.
-  EXPECT_EQ(s.AsOf(3).status().code(), StatusCode::kNotFound);
-  s.TrimBefore(30);
-  EXPECT_GT(s.intervals_trimmed(), 0u);
-  // Inside the trimmed-away range: OutOfRange ("was recorded, now gone") so
-  // callers can tell a retention miss from a genuine absence.
-  EXPECT_EQ(s.AsOf(15).status().code(), StatusCode::kOutOfRange);
-  // The pre-series instant keeps reporting NotFound even after trimming.
-  EXPECT_EQ(s.AsOf(3).status().code(), StatusCode::kNotFound);
-  ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(35));
-  EXPECT_EQ(v, Value::Int(35));
-}
-
-TEST(ScalarSeriesTest, EstimateBytesGrowsWithIntervals) {
-  ScalarSeries s;
-  size_t empty = s.EstimateBytes();
-  for (int i = 0; i < 16; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i)));
-  }
-  EXPECT_GT(s.EstimateBytes(), empty);
-}
-
-TEST(ScalarSeriesTest, EstimateBytesCountsStringPayloads) {
-  // Satellite regression: the estimate must be *deep*. A series holding one
-  // large string must report far more than one holding a small int, even
-  // though both have a single interval.
-  ScalarSeries ints;
-  ASSERT_OK(ints.Record(1, Value::Int(7)));
-  ScalarSeries strings;
-  ASSERT_OK(strings.Record(1, Value::Str(std::string(100000, 'x'))));
-  EXPECT_GT(strings.EstimateBytes(), ints.EstimateBytes() + 90000);
-}
-
-TEST(ScalarSeriesTest, AsOfIsSublinearInHistoryLength) {
-  // 100k-interval history: a lookup must binary-search the start column, not
-  // visit every interval. The probe counter counts comparator probes.
-  ScalarSeries s;
-  constexpr int kIntervals = 100000;
-  for (int i = 0; i < kIntervals; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i % 97)));
-  }
-  ASSERT_EQ(s.num_intervals(), static_cast<size_t>(kIntervals));
-  uint64_t before = s.asof_probes();
-  ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(kIntervals / 2));
-  EXPECT_EQ(v, Value::Int((kIntervals / 2) % 97));
-  uint64_t probes = s.asof_probes() - before;
-  // ceil(log2(100000)) = 17; leave generous slack but stay decisively
-  // sublinear (a scan would be ~50000 probes).
-  EXPECT_LE(probes, 64u);
-  EXPECT_GT(probes, 0u);
-}
-
-TEST(ScalarSeriesTest, ExportToPublishesAccountingGauges) {
-  ScalarSeries s;
-  for (int i = 0; i < 50; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i % 5)));
-  }
-  s.TrimBefore(20);
-  ASSERT_OK(s.AsOf(30).status());
-  Metrics m;
-  s.ExportTo(m, "query_history.q1");
-  const std::string base = "aux.query_history.q1";
-  EXPECT_EQ(m.gauge(base + ".intervals").Get(),
-            static_cast<int64_t>(s.num_intervals()));
-  EXPECT_GT(m.gauge(base + ".bytes").Get(), 0);
-  EXPECT_EQ(m.gauge(base + ".trimmed").Get(),
-            static_cast<int64_t>(s.intervals_trimmed()));
-  EXPECT_EQ(m.gauge(base + ".dict").Get(),
-            static_cast<int64_t>(s.dict_size()));
-  EXPECT_EQ(m.gauge(base + ".dict").Get(), 5);  // i % 5 -> 5 distinct values
-  EXPECT_EQ(m.gauge(base + ".asof_probes").Get(),
-            static_cast<int64_t>(s.asof_probes()));
-  EXPECT_GT(s.asof_probes(), 0u);
-}
-
-TEST(ScalarSeriesTest, DictionaryDeduplicatesRepeatedValues) {
-  ScalarSeries s;
-  for (int i = 0; i < 1000; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i % 2)));  // alternating two values
-  }
-  EXPECT_EQ(s.num_intervals(), 1000u);
-  EXPECT_EQ(s.dict_size(), 2u);
-}
-
-TEST(ScalarSeriesTest, GatherAsOfMatchesIndividualAsOf) {
-  ScalarSeries s;
-  for (int i = 0; i < 500; ++i) {
-    ASSERT_OK(s.Record(10 * i, Value::Int(i)));
-  }
-  std::vector<Timestamp> ts;
-  for (int i = 0; i < 200; ++i) ts.push_back(7 * i + 5);
-  std::vector<Value> got;
-  ASSERT_OK(s.GatherAsOf(ts, &got));
-  ASSERT_EQ(got.size(), ts.size());
-  for (size_t i = 0; i < ts.size(); ++i) {
-    ASSERT_OK_AND_ASSIGN(Value want, s.AsOf(ts[i]));
-    EXPECT_EQ(got[i], want) << "ts " << ts[i];
-  }
-}
-
-TEST(ScalarSeriesTest, GatherAsOfIsOneMergePass) {
-  // A sorted batch resolves by merging, not by independent binary searches:
-  // probes stay O(batch + log n), far below batch * log n.
-  ScalarSeries s;
-  constexpr int kIntervals = 50000;
-  for (int i = 0; i < kIntervals; ++i) {
-    ASSERT_OK(s.Record(i, Value::Int(i % 13)));
-  }
-  std::vector<Timestamp> ts;
-  for (int i = 0; i < 1000; ++i) ts.push_back(20000 + i * 10);
-  uint64_t before = s.asof_probes();
-  std::vector<Value> got;
-  ASSERT_OK(s.GatherAsOf(ts, &got));
-  uint64_t probes = s.asof_probes() - before;
-  // Merge cost: one binary search (~17) plus ~1 advance per covered interval
-  // (10k range) plus ~2 per element. Independent searches would be ~17000.
-  EXPECT_LE(probes, 14000u);
-  ASSERT_EQ(got.size(), ts.size());
-}
-
-TEST(ScalarSeriesTest, GatherAsOfRejectsUnsortedInput) {
-  ScalarSeries s;
-  ASSERT_OK(s.Record(10, Value::Int(1)));
-  std::vector<Value> out;
-  Status st = s.GatherAsOf({30, 20}, &out);
-  EXPECT_EQ(st.code(), StatusCode::kInvalidArgument);
-}
-
-TEST(ScalarSeriesTest, TrimBoundaryCases) {
-  // Intervals: [10,20) [20,30) [30,kTimeMax). Horizons probe every boundary.
-  auto make = [] {
-    ScalarSeries s;
-    EXPECT_OK(s.Record(10, Value::Int(1)));
-    EXPECT_OK(s.Record(20, Value::Int(2)));
-    EXPECT_OK(s.Record(30, Value::Int(3)));
-    return s;
-  };
-  {
-    ScalarSeries s = make();
-    s.TrimBefore(9);  // start-1: nothing ends at or before 9
-    EXPECT_EQ(s.num_intervals(), 3u);
-  }
-  {
-    ScalarSeries s = make();
-    s.TrimBefore(10);  // first interval's start: it ends at 20 > 10, kept
-    EXPECT_EQ(s.num_intervals(), 3u);
-  }
-  {
-    ScalarSeries s = make();
-    s.TrimBefore(19);  // end-1 of the first interval: still covers 19, kept
-    EXPECT_EQ(s.num_intervals(), 3u);
-    ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(19));
-    EXPECT_EQ(v, Value::Int(1));
-  }
-  {
-    ScalarSeries s = make();
-    s.TrimBefore(20);  // exactly the first interval's end: dropped
-    EXPECT_EQ(s.num_intervals(), 2u);
-    EXPECT_EQ(s.AsOf(15).status().code(), StatusCode::kOutOfRange);
-    ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(20));
-    EXPECT_EQ(v, Value::Int(2));
-  }
-}
-
-TEST(ScalarSeriesTest, OpenIntervalNeverTrimmed) {
-  // Satellite bugfix: the sole open interval (end == kTimeMax) must survive
-  // any horizon — the old deque code dropped it for horizon == kTimeMax
-  // because kTimeMax <= kTimeMax.
-  ScalarSeries s;
-  ASSERT_OK(s.Record(10, Value::Int(42)));
-  s.TrimBefore(kTimeMax);
-  EXPECT_EQ(s.num_intervals(), 1u);
-  ASSERT_OK_AND_ASSIGN(Value v, s.AsOf(kTimeMax - 1));
-  EXPECT_EQ(v, Value::Int(42));
-
-  // Same with closed predecessors: they go, the open interval stays.
-  ScalarSeries s2;
-  ASSERT_OK(s2.Record(10, Value::Int(1)));
-  ASSERT_OK(s2.Record(20, Value::Int(2)));
-  s2.TrimBefore(kTimeMax);
-  EXPECT_EQ(s2.num_intervals(), 1u);
-  ASSERT_OK_AND_ASSIGN(Value v2, s2.Latest());
-  EXPECT_EQ(v2, Value::Int(2));
-}
-
 class RelationHistoryTest : public ::testing::Test {
  protected:
   RelationHistoryTest()
       : schema_({{"name", ValueType::kString}, {"price", ValueType::kInt64}}),
         history_(schema_) {}
 
-  db::Relation Rel(std::vector<db::Tuple> rows) {
-    return db::Relation(schema_, std::move(rows));
+  static db::Tuple Row(const std::string& name, int64_t price) {
+    return {Value::Str(name), Value::Int(price)};
+  }
+
+  // Row `name` changes price `from` -> `to` at `t`: the delete-plus-insert
+  // pair a versioned table's update hands over.
+  static Status Update(RelationHistory* h, Timestamp t, const std::string& name,
+                       int64_t from, int64_t to) {
+    return h->ApplyDelta(t, {Row(name, from)}, {Row(name, to)});
+  }
+
+  // [10,20) IBM 1, [20,30) IBM 2, [30,kTimeMax) IBM 3.
+  static void FillPriceSteps(RelationHistory* h) {
+    EXPECT_OK(h->ApplyDelta(10, {}, {Row("IBM", 1)}));
+    EXPECT_OK(Update(h, 20, "IBM", 1, 2));
+    EXPECT_OK(Update(h, 30, "IBM", 2, 3));
   }
 
   db::Schema schema_;
@@ -273,16 +42,13 @@ class RelationHistoryTest : public ::testing::Test {
 };
 
 TEST_F(RelationHistoryTest, AsOfReconstructsPastContents) {
-  ASSERT_OK(history_.Record(
-      10, Rel({{Value::Str("IBM"), Value::Int(70)}})));
-  ASSERT_OK(history_.Record(
-      20, Rel({{Value::Str("IBM"), Value::Int(70)},
-               {Value::Str("HP"), Value::Int(30)}})));
-  ASSERT_OK(history_.Record(
-      30, Rel({{Value::Str("HP"), Value::Int(30)}})));
+  EXPECT_EQ(history_.AsOf(5).status().code(), StatusCode::kNotFound);
+  ASSERT_OK(history_.ApplyDelta(10, {}, {Row("IBM", 70)}));
+  ASSERT_OK(history_.ApplyDelta(20, {}, {Row("HP", 30)}));
+  ASSERT_OK(history_.ApplyDelta(30, {Row("IBM", 70)}, {}));
 
   ASSERT_OK_AND_ASSIGN(db::Relation r5, history_.AsOf(5));
-  EXPECT_TRUE(r5.empty());  // before the first record anything was empty
+  EXPECT_TRUE(r5.empty());  // before the first write the relation was empty
   ASSERT_OK_AND_ASSIGN(db::Relation r10, history_.AsOf(10));
   EXPECT_EQ(r10.size(), 1u);
   ASSERT_OK_AND_ASSIGN(db::Relation r25, history_.AsOf(25));
@@ -297,8 +63,8 @@ TEST_F(RelationHistoryTest, AsOfReconstructsPastContents) {
 }
 
 TEST_F(RelationHistoryTest, StoreExposesValidityIntervals) {
-  ASSERT_OK(history_.Record(10, Rel({{Value::Str("IBM"), Value::Int(70)}})));
-  ASSERT_OK(history_.Record(20, Rel({})));
+  ASSERT_OK(history_.ApplyDelta(10, {}, {Row("IBM", 70)}));
+  ASSERT_OK(history_.ApplyDelta(20, {Row("IBM", 70)}, {}));
   db::Relation store = history_.Store();
   ASSERT_EQ(store.size(), 1u);
   // Columns: name, price, T_start, T_end.
@@ -309,32 +75,67 @@ TEST_F(RelationHistoryTest, StoreExposesValidityIntervals) {
 }
 
 TEST_F(RelationHistoryTest, DuplicateRowsTrackedAsBag) {
-  db::Tuple row{Value::Str("IBM"), Value::Int(70)};
-  ASSERT_OK(history_.Record(10, Rel({row, row})));
-  ASSERT_OK(history_.Record(20, Rel({row})));
+  db::Tuple row = Row("IBM", 70);
+  ASSERT_OK(history_.ApplyDelta(10, {}, {row, row}));
+  ASSERT_OK(history_.ApplyDelta(20, {row}, {}));
   ASSERT_OK_AND_ASSIGN(db::Relation r10, history_.AsOf(10));
   EXPECT_EQ(r10.size(), 2u);
   ASSERT_OK_AND_ASSIGN(db::Relation r20, history_.AsOf(20));
   EXPECT_EQ(r20.size(), 1u);
+  // Removing more copies than are live is rejected, and changes nothing.
+  EXPECT_EQ(history_.ApplyDelta(30, {row, row}, {}).code(),
+            StatusCode::kInvalidArgument);
+  ASSERT_OK_AND_ASSIGN(db::Relation r30, history_.AsOf(30));
+  EXPECT_EQ(r30.size(), 1u);
+}
+
+TEST_F(RelationHistoryTest, RowInBothSidesOfADeltaStaysOpen) {
+  // A row deleted and re-inserted within one commit never left the relation:
+  // the two sides cancel as multisets and its interval stays open.
+  db::Tuple ibm = Row("IBM", 70);
+  ASSERT_OK(history_.ApplyDelta(10, {}, {ibm, ibm}));
+  ASSERT_OK(history_.ApplyDelta(20, {ibm, ibm}, {ibm, Row("HP", 30)}));
+  // One IBM copy closed at 20, the other never closed; HP opened.
+  EXPECT_EQ(history_.num_rows(), 3u);
+  db::Relation store = history_.Store();
+  int open_ibm = 0;
+  for (const db::Tuple& row : store.rows()) {
+    if (row[0] == Value::Str("IBM") && row[2] == Value::Time(10) &&
+        row[3] == Value::Time(kTimeMax)) {
+      ++open_ibm;
+    }
+  }
+  EXPECT_EQ(open_ibm, 1);
+  ASSERT_OK_AND_ASSIGN(db::Relation now, history_.AsOf(25));
+  EXPECT_EQ(now.size(), 2u);
+}
+
+TEST_F(RelationHistoryTest, RemovingARowThatIsNotLiveIsRejected) {
+  ASSERT_OK(history_.ApplyDelta(10, {}, {Row("IBM", 70)}));
+  const size_t rows = history_.num_rows();
+  // The valid half of the delta must not land either.
+  EXPECT_EQ(history_.ApplyDelta(20, {Row("HP", 1)}, {Row("XOM", 2)}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(history_.num_rows(), rows);
+  ASSERT_OK_AND_ASSIGN(db::Relation now, history_.AsOf(20));
+  ASSERT_EQ(now.size(), 1u);
+  EXPECT_EQ(now.row(0)[0], Value::Str("IBM"));
 }
 
 TEST_F(RelationHistoryTest, TrimBefore) {
-  ASSERT_OK(history_.Record(10, Rel({{Value::Str("IBM"), Value::Int(1)}})));
-  ASSERT_OK(history_.Record(20, Rel({{Value::Str("IBM"), Value::Int(2)}})));
-  ASSERT_OK(history_.Record(30, Rel({{Value::Str("IBM"), Value::Int(3)}})));
+  FillPriceSteps(&history_);
   EXPECT_EQ(history_.num_rows(), 3u);
   history_.TrimBefore(25);
   EXPECT_EQ(history_.num_rows(), 2u);  // the [20,30) and [30,inf) rows remain
 }
 
 TEST_F(RelationHistoryTest, SameInstantRewriteLeavesNoPhantomRow) {
-  db::Tuple ibm{Value::Str("IBM"), Value::Int(70)};
-  db::Tuple hp{Value::Str("HP"), Value::Int(30)};
-  ASSERT_OK(history_.Record(10, Rel({ibm})));
-  // Recording again at the same instant without IBM used to leave a [10,10)
-  // row: closed at the same timestamp it opened, covering no instant, yet
-  // retained in the store forever.
-  ASSERT_OK(history_.Record(10, Rel({hp})));
+  db::Tuple ibm = Row("IBM", 70);
+  db::Tuple hp = Row("HP", 30);
+  ASSERT_OK(history_.ApplyDelta(10, {}, {ibm}));
+  // Replacing IBM at the instant it opened would leave a [10,10) row: closed
+  // at the same timestamp it opened, covering no instant.
+  ASSERT_OK(history_.ApplyDelta(10, {ibm}, {hp}));
   EXPECT_EQ(history_.phantom_rows_dropped(), 1u);
   db::Relation store = history_.Store();
   for (size_t i = 0; i < store.size(); ++i) {
@@ -347,9 +148,7 @@ TEST_F(RelationHistoryTest, SameInstantRewriteLeavesNoPhantomRow) {
 }
 
 TEST_F(RelationHistoryTest, TrimmedAsOfIsOutOfRangeNotSilentlyEmpty) {
-  ASSERT_OK(history_.Record(10, Rel({{Value::Str("IBM"), Value::Int(1)}})));
-  ASSERT_OK(history_.Record(20, Rel({{Value::Str("IBM"), Value::Int(2)}})));
-  ASSERT_OK(history_.Record(30, Rel({{Value::Str("IBM"), Value::Int(3)}})));
+  FillPriceSteps(&history_);
   // Untrimmed, a pre-history instant is a legitimate empty relation.
   ASSERT_OK_AND_ASSIGN(db::Relation r5, history_.AsOf(5));
   EXPECT_TRUE(r5.empty());
@@ -368,8 +167,8 @@ TEST_F(RelationHistoryTest, TrimmedAsOfIsOutOfRangeNotSilentlyEmpty) {
 
 TEST_F(RelationHistoryTest, ExportToPublishesAccountingGauges) {
   Metrics m;
-  ASSERT_OK(history_.Record(10, Rel({{Value::Str("IBM"), Value::Int(1)}})));
-  ASSERT_OK(history_.Record(20, Rel({{Value::Str("HP"), Value::Int(2)}})));
+  ASSERT_OK(history_.ApplyDelta(10, {}, {Row("IBM", 1)}));
+  ASSERT_OK(history_.ApplyDelta(20, {Row("IBM", 1)}, {Row("HP", 2)}));
   history_.TrimBefore(15);
   ASSERT_OK(history_.AsOf(20).status());  // make some probes to account for
   history_.ExportTo(m, "price");
@@ -393,39 +192,34 @@ TEST_F(RelationHistoryTest, ExportToPublishesAccountingGauges) {
   EXPECT_NE(json.find("\"aux.price.values_dict\""), std::string::npos);
 }
 
-TEST_F(RelationHistoryTest, SchemaMismatchRejected) {
-  db::Relation wrong(db::Schema({{"x", ValueType::kInt64}}));
-  EXPECT_FALSE(history_.Record(10, wrong).ok());
+TEST_F(RelationHistoryTest, ArityMismatchRejected) {
+  EXPECT_EQ(history_.ApplyDelta(10, {}, {{Value::Int(1)}}).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(history_.AsOf(10).status().code(), StatusCode::kNotFound);
 }
 
 TEST_F(RelationHistoryTest, OutOfOrderRejected) {
-  ASSERT_OK(history_.Record(10, Rel({})));
-  EXPECT_FALSE(history_.Record(5, Rel({})).ok());
+  ASSERT_OK(history_.ApplyDelta(10, {}, {}));
+  EXPECT_FALSE(history_.ApplyDelta(5, {}, {}).ok());
 }
 
 TEST_F(RelationHistoryTest, TrimBoundaryCases) {
-  // Row intervals: [10,20) [20,30) [30,kTimeMax).
-  auto fill = [this](RelationHistory* h) {
-    EXPECT_OK(h->Record(10, Rel({{Value::Str("A"), Value::Int(1)}})));
-    EXPECT_OK(h->Record(20, Rel({{Value::Str("A"), Value::Int(2)}})));
-    EXPECT_OK(h->Record(30, Rel({{Value::Str("A"), Value::Int(3)}})));
-  };
   {
     RelationHistory h(schema_);
-    fill(&h);
+    FillPriceSteps(&h);
     h.TrimBefore(9);  // start-1
     EXPECT_EQ(h.num_rows(), 3u);
     EXPECT_EQ(h.rows_trimmed(), 0u);
   }
   {
     RelationHistory h(schema_);
-    fill(&h);
+    FillPriceSteps(&h);
     h.TrimBefore(10);  // first row's start; its end is 20 > 10
     EXPECT_EQ(h.num_rows(), 3u);
   }
   {
     RelationHistory h(schema_);
-    fill(&h);
+    FillPriceSteps(&h);
     h.TrimBefore(19);  // end-1: row still covers 19
     EXPECT_EQ(h.num_rows(), 3u);
     ASSERT_OK_AND_ASSIGN(db::Relation r, h.AsOf(19));
@@ -434,7 +228,7 @@ TEST_F(RelationHistoryTest, TrimBoundaryCases) {
   }
   {
     RelationHistory h(schema_);
-    fill(&h);
+    FillPriceSteps(&h);
     h.TrimBefore(20);  // exactly the first row's end: dropped
     EXPECT_EQ(h.num_rows(), 2u);
     EXPECT_EQ(h.AsOf(15).status().code(), StatusCode::kOutOfRange);
@@ -445,9 +239,8 @@ TEST_F(RelationHistoryTest, TrimBoundaryCases) {
 }
 
 TEST_F(RelationHistoryTest, OpenRowsNeverTrimmed) {
-  ASSERT_OK(history_.Record(10, Rel({{Value::Str("A"), Value::Int(1)},
-                                     {Value::Str("B"), Value::Int(2)}})));
-  ASSERT_OK(history_.Record(20, Rel({{Value::Str("B"), Value::Int(2)}})));
+  ASSERT_OK(history_.ApplyDelta(10, {}, {Row("A", 1), Row("B", 2)}));
+  ASSERT_OK(history_.ApplyDelta(20, {Row("A", 1)}, {}));
   // A's row closed at 20; B's row is open. The maximal horizon drops only A.
   history_.TrimBefore(kTimeMax);
   EXPECT_EQ(history_.num_rows(), 1u);
@@ -459,9 +252,9 @@ TEST_F(RelationHistoryTest, OpenRowsNeverTrimmed) {
 TEST_F(RelationHistoryTest, CurrentTimeAsOfSkipsClosedHistory) {
   // Long history of closed rows plus a small live set: a current-time read
   // must cost the live size, not the history length.
-  for (int i = 0; i < 2000; ++i) {
-    ASSERT_OK(history_.Record(
-        i, Rel({{Value::Str("tick"), Value::Int(i)}})));
+  ASSERT_OK(history_.ApplyDelta(0, {}, {Row("tick", 0)}));
+  for (int i = 1; i < 2000; ++i) {
+    ASSERT_OK(Update(&history_, i, "tick", i - 1, i));
   }
   uint64_t before = history_.asof_probes();
   ASSERT_OK_AND_ASSIGN(db::Relation now, history_.AsOf(5000));
@@ -477,14 +270,42 @@ TEST_F(RelationHistoryTest, CurrentTimeAsOfSkipsClosedHistory) {
   EXPECT_GT(history_.asof_probes(), before);
 }
 
-TEST_F(RelationHistoryTest, DictionariesDeduplicateAcrossRecords) {
+TEST_F(RelationHistoryTest, KeyedAsOfIsLogarithmicInVersionsOfTheKey) {
+  // 100k versions of one key: a keyed read binary-searches that key's rows,
+  // so each one adds at most ceil(log2 n) + 2 probes (a scan would add ~n).
+  RelationHistory h(schema_, /*key_column=*/0);
+  constexpr int64_t kVersions = 100000;
+  ASSERT_OK(h.ApplyDelta(0, {}, {Row("IBM", 0)}));
+  for (int64_t i = 1; i < kVersions; ++i) {
+    ASSERT_OK(Update(&h, i, "IBM", i - 1, i));
+  }
+  ASSERT_EQ(h.num_rows(), static_cast<size_t>(kVersions));
+  constexpr uint64_t kBound = 17 + 2;  // ceil(log2 100000) + 2
+  for (Timestamp t : {Timestamp{0}, Timestamp{1}, kVersions / 3, kVersions / 2,
+                      kVersions - 2, kVersions - 1, kTimeMax}) {
+    const uint64_t before = h.asof_probes();
+    ASSERT_OK_AND_ASSIGN(db::Relation r, h.AsOf(t, Value::Str("IBM")));
+    EXPECT_LE(h.asof_probes() - before, kBound) << "t=" << t;
+    ASSERT_EQ(r.size(), 1u) << "t=" << t;
+    EXPECT_EQ(r.row(0)[1], Value::Int(std::min<int64_t>(t, kVersions - 1)));
+  }
+  // An absent key is answered without probing any row.
+  const uint64_t before = h.asof_probes();
+  ASSERT_OK_AND_ASSIGN(db::Relation none,
+                       h.AsOf(kVersions / 2, Value::Str("HP")));
+  EXPECT_TRUE(none.empty());
+  EXPECT_EQ(h.asof_probes(), before);
+}
+
+TEST_F(RelationHistoryTest, DictionariesDeduplicateAcrossWrites) {
   // The same two tuples flap in and out 200 times: the tuple dictionary must
   // hold 2 entries, not 400.
-  db::Tuple a{Value::Str("A"), Value::Int(1)};
-  db::Tuple b{Value::Str("B"), Value::Int(2)};
+  db::Tuple a = Row("A", 1);
+  db::Tuple b = Row("B", 2);
+  ASSERT_OK(history_.ApplyDelta(0, {}, {a}));
   for (int i = 0; i < 200; ++i) {
-    ASSERT_OK(history_.Record(2 * i, Rel({a})));
-    ASSERT_OK(history_.Record(2 * i + 1, Rel({b})));
+    ASSERT_OK(history_.ApplyDelta(2 * i + 1, {a}, {b}));
+    ASSERT_OK(history_.ApplyDelta(2 * i + 2, {b}, {a}));
   }
   EXPECT_EQ(history_.dict_size(), 2u);
   EXPECT_GT(history_.num_rows(), 300u);
@@ -492,19 +313,19 @@ TEST_F(RelationHistoryTest, DictionariesDeduplicateAcrossRecords) {
 
 TEST_F(RelationHistoryTest, EstimateBytesCountsStringPayloads) {
   RelationHistory small(schema_);
-  ASSERT_OK(small.Record(1, Rel({{Value::Str("x"), Value::Int(1)}})));
+  ASSERT_OK(small.ApplyDelta(1, {}, {Row("x", 1)}));
   RelationHistory big(schema_);
-  ASSERT_OK(big.Record(
-      1, Rel({{Value::Str(std::string(100000, 'y')), Value::Int(1)}})));
+  ASSERT_OK(big.ApplyDelta(1, {}, {Row(std::string(100000, 'y'), 1)}));
   EXPECT_GT(big.EstimateBytes(), small.EstimateBytes() + 90000);
 }
 
 TEST_F(RelationHistoryTest, TrimCompactsDictionaries) {
   // Rows referencing early-only tuples must release their dictionary entries
   // once trimmed, or retained bytes grow with the value domain forever.
-  for (int i = 0; i < 100; ++i) {
-    ASSERT_OK(history_.Record(
-        i, Rel({{Value::Str(StrCat("sym", i)), Value::Int(i)}})));
+  ASSERT_OK(history_.ApplyDelta(0, {}, {Row("sym0", 0)}));
+  for (int i = 1; i < 100; ++i) {
+    ASSERT_OK(history_.ApplyDelta(i, {Row(StrCat("sym", i - 1), i - 1)},
+                                  {Row(StrCat("sym", i), i)}));
   }
   size_t dict_before = history_.dict_size();
   history_.TrimBefore(95);

@@ -163,10 +163,10 @@ TEST(CheckpointStressTest, EngineStateUntouchedByAbortedTransactions) {
       ++commits;
     }
     // The database only ever reflects committed (conforming) values.
-    ASSERT_OK_AND_ASSIGN(Value now, db.QueryScalar(db::ParseSql(
-                                        "SELECT v FROM data WHERE k = 'x'")
-                                        .value()));
-    ASSERT_EQ(now, Value::Int(committed_value)) << "iteration " << i;
+    ASSERT_OK_AND_ASSIGN(db::Relation now,
+                         db.QuerySql("SELECT v FROM data WHERE k = 'x'"));
+    ASSERT_EQ(now.size(), 1u) << "iteration " << i;
+    ASSERT_EQ(now.row(0)[0], Value::Int(committed_value)) << "iteration " << i;
   }
   for (const Status& e : engine.TakeErrors()) ADD_FAILURE() << e.ToString();
 

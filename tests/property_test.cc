@@ -5,7 +5,7 @@
 //     raw history (TEST_P over window widths and seeds);
 //   * window aggregates against direct recomputation from the price path;
 //   * total-order properties of Value::Compare on numerics;
-//   * ScalarSeries::AsOf against a linear-scan reference;
+//   * RelationHistory::AsOf against a linear-scan reference;
 //   * printer/parser fixpoint on random formulas;
 //   * Graph::Collect preserving semantics under random rewrite workloads.
 
@@ -183,37 +183,44 @@ TEST(ValueOrderPropertyTest, TotalOrderOnNumerics) {
   }
 }
 
-// ---- ScalarSeries vs linear-scan reference -----------------------------------
+// ---- RelationHistory vs linear-scan reference ------------------------------
 
-TEST(ScalarSeriesPropertyTest, AsOfMatchesLinearScan) {
+TEST(RelationHistoryPropertyTest, AsOfMatchesLinearScan) {
   Rng rng(123);
+  const db::Schema schema({{"k", ValueType::kInt64}, {"v", ValueType::kInt64}});
   for (int round = 0; round < 20; ++round) {
-    eval::ScalarSeries series;
-    std::vector<std::pair<Timestamp, int64_t>> reference;
+    eval::RelationHistory history(schema);
+    // Reference: the live bag after every delta, in write order.
+    std::vector<std::pair<Timestamp, db::Relation>> reference;
+    std::vector<db::Tuple> live;
     Timestamp now = 0;
     for (int i = 0; i < 100; ++i) {
-      now += rng.Range(0, 3);  // repeats allowed (same-instant overwrite)
-      int64_t v = rng.Range(0, 5);
-      ASSERT_OK(series.Record(now, Value::Int(v)));
-      reference.emplace_back(now, v);
+      now += rng.Range(0, 3);  // repeats allowed (same-instant rewrites)
+      std::vector<db::Tuple> removed, added;
+      for (int64_t n = rng.Range(0, 2); n > 0 && !live.empty(); --n) {
+        const size_t at = rng.Below(live.size());
+        removed.push_back(live[at]);
+        live.erase(live.begin() + static_cast<long>(at));
+      }
+      for (int64_t n = rng.Range(0, 2); n > 0; --n) {
+        added.push_back(
+            {Value::Int(rng.Range(0, 3)), Value::Int(rng.Range(0, 5))});
+        live.push_back(added.back());
+      }
+      ASSERT_OK(history.ApplyDelta(now, removed, added));
+      reference.emplace_back(now, db::Relation(schema, live));
     }
-    for (Timestamp probe = 0; probe <= now + 5; ++probe) {
-      // Reference: last record with time <= probe wins.
-      bool any = false;
-      int64_t want = 0;
-      for (const auto& [t, v] : reference) {
-        if (t <= probe) {
-          want = v;
-          any = true;
-        }
+    for (Timestamp probe = -1; probe <= now + 5; ++probe) {
+      // Reference: the last write at or before the probe wins; before the
+      // first write the relation was empty.
+      db::Relation want(schema);
+      for (const auto& [t, rel] : reference) {
+        if (t <= probe) want = rel;
       }
-      auto got = series.AsOf(probe);
-      if (!any) {
-        EXPECT_FALSE(got.ok());
-      } else {
-        ASSERT_TRUE(got.ok()) << "probe " << probe;
-        EXPECT_EQ(*got, Value::Int(want)) << "probe " << probe;
-      }
+      ASSERT_OK_AND_ASSIGN(db::Relation got, history.AsOf(probe));
+      EXPECT_TRUE(got.BagEquals(want))
+          << "probe " << probe << "\ngot " << got.ToString() << "\nwant "
+          << want.ToString();
     }
   }
 }

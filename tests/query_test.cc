@@ -75,7 +75,8 @@ TEST_F(QueryTest, ScalarResult) {
   ASSERT_OK_AND_ASSIGN(QueryPtr plan,
                        ParseSql("SELECT price FROM stock WHERE name = 'IBM'"));
   QueryExecutor exec(&catalog_);
-  ASSERT_OK_AND_ASSIGN(Value v, exec.ExecuteScalar(plan));
+  ASSERT_OK_AND_ASSIGN(Relation r, exec.Execute(plan));
+  ASSERT_OK_AND_ASSIGN(Value v, r.ScalarValue());
   EXPECT_EQ(v, Value::Real(72));
 }
 

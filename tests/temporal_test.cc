@@ -159,6 +159,75 @@ TEST(TemporalDdl, DeclarationSeedsCurrentContents) {
   EXPECT_EQ(pre.size(), 0u);
 }
 
+TEST(TemporalDdl, SeedingThroughApplyDeltaKeepsBagsAndKeys) {
+  // SetVersioned seeds through ApplyDelta(seed, {}, rows), the path every
+  // commit takes: duplicates of a keyless bag stay distinct rows, and a keyed
+  // table's seed rows land in its per-key index.
+  World w;
+  ASSERT_OK(w.db.CreateTable(
+      "bag", db::Schema({{"sym", ValueType::kString},
+                         {"qty", ValueType::kInt64}})));
+  const db::Tuple ibm{Value::Str("IBM"), Value::Int(5)};
+  ASSERT_OK(w.db.InsertRow("bag", ibm));
+  ASSERT_OK(w.db.InsertRow("bag", ibm));
+  ASSERT_OK(w.db.InsertRow("bag", {Value::Str("HP"), Value::Int(7)}));
+  ASSERT_OK(w.db.InsertRow("note", {Value::Int(1), Value::Str("hello")}));
+  ASSERT_OK(w.db.InsertRow("note", {Value::Int(2), Value::Str("world")}));
+  ASSERT_OK(w.temporal.SetVersioned("bag"));
+  ASSERT_OK(w.temporal.SetVersioned("note"));
+  const Timestamp seeded = w.LastTime();
+  ASSERT_OK_AND_ASSIGN(const eval::RelationHistory* bag_history,
+                       w.temporal.History("bag"));
+  EXPECT_FALSE(bag_history->key_column().has_value());
+  EXPECT_EQ(bag_history->num_rows(), 3u);
+  ASSERT_OK_AND_ASSIGN(const eval::RelationHistory* note_history,
+                       w.temporal.History("note"));
+  EXPECT_EQ(note_history->key_column(), std::optional<size_t>(0));
+  ASSERT_OK_AND_ASSIGN(db::Relation keyed,
+                       note_history->AsOf(seeded, Value::Int(2)));
+  ASSERT_EQ(keyed.size(), 1u);
+  EXPECT_EQ(keyed.row(0)[1], Value::Str("world"));
+
+  const std::string bag_sql = "SELECT sym, qty FROM bag";
+  const std::string point_sql = "SELECT text FROM note WHERE id = 2";
+  ASSERT_OK_AND_ASSIGN(db::Relation bag_at_seed,
+                       w.db.QuerySqlAsOf(bag_sql, seeded));
+  EXPECT_EQ(Canon(bag_at_seed), "\"HP\"|7|\n\"IBM\"|5|\n\"IBM\"|5|");
+  ASSERT_OK_AND_ASSIGN(db::Relation note_at_seed,
+                       w.db.QuerySqlAsOf(point_sql, seeded));
+  ASSERT_EQ(note_at_seed.size(), 1u);
+  EXPECT_EQ(note_at_seed.row(0)[0], Value::Str("world"));
+
+  // Delete one duplicate: both copies go and one comes back in the same
+  // transaction, so the commit's delta cancels one copy and closes the other.
+  w.clock.Advance(1);
+  ASSERT_OK_AND_ASSIGN(int64_t txn, w.db.Begin());
+  ASSERT_OK_AND_ASSIGN(size_t deleted, w.db.Delete(txn, "bag", "sym = 'IBM'"));
+  EXPECT_EQ(deleted, 2u);
+  ASSERT_OK(w.db.Insert(txn, "bag", ibm));
+  ASSERT_OK(w.db.Commit(txn));
+  const Timestamp after = w.LastTime();
+  ASSERT_GT(after, seeded);
+
+  ASSERT_OK_AND_ASSIGN(db::Relation bag_after,
+                       w.db.QuerySqlAsOf(bag_sql, after));
+  EXPECT_EQ(Canon(bag_after), "\"HP\"|7|\n\"IBM\"|5|");
+  ASSERT_OK_AND_ASSIGN(db::Relation live, w.db.QuerySql(bag_sql));
+  EXPECT_EQ(Canon(bag_after), Canon(live));
+  ASSERT_OK_AND_ASSIGN(bag_at_seed, w.db.QuerySqlAsOf(bag_sql, seeded));
+  EXPECT_EQ(Canon(bag_at_seed), "\"HP\"|7|\n\"IBM\"|5|\n\"IBM\"|5|");
+  // One IBM interval closed at the commit, the other never closed.
+  ASSERT_OK_AND_ASSIGN(db::Relation hist, w.temporal.HistoryRelation("bag"));
+  EXPECT_EQ(Canon(hist),
+            StrCat("\"HP\"|7|", seeded, "|", eval::kTimeMax, "|\n\"IBM\"|5|",
+                   seeded, "|", after, "|\n\"IBM\"|5|", seeded, "|",
+                   eval::kTimeMax, "|"));
+  ASSERT_OK_AND_ASSIGN(db::Relation note_after,
+                       w.db.QuerySqlAsOf(point_sql, after));
+  ASSERT_EQ(note_after.size(), 1u);
+  EXPECT_EQ(note_after.row(0)[0], Value::Str("world"));
+}
+
 // ---- AS OF boundary semantics ----------------------------------------------
 
 TEST(TemporalAsOf, HalfOpenPeriodBoundaries) {
